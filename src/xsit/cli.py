@@ -8,8 +8,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import explain as expl
 from . import surface as surf
 from . import synth
@@ -67,10 +65,7 @@ def _parse_overrides(pairs):
         key, sep, val = pair.partition("=")
         if not sep:
             raise ConfigError(f"bad override '{pair}', expected KEY=VALUE")
-        try:
-            out[key] = json.loads(val)
-        except json.JSONDecodeError:
-            out[key] = val
+        out[key] = val
     return out
 
 
@@ -114,21 +109,21 @@ def _cmd_explain(args) -> int:
     model = tr.load_checkpoint(args.checkpoint)
     _, splits = surf.load_dataset(os.path.join(args.data, "manifest.json"))
     os.makedirs(args.out, exist_ok=True)
-    part = model.partition()
     mesh = surf.build_icosphere(model.mesh_order)
+
+    def write_surface(name, per_vertex, scalar_name):
+        """One PLY per hemisphere; a single hemisphere gets no suffix."""
+        v = mesh.n_vertices
+        for h in range(model.hemispheres):
+            suffix = f".hemi{h}" if model.hemispheres > 1 else ""
+            surf.write_ply(os.path.join(args.out, f"{name}{suffix}.ply"),
+                           mesh, per_vertex[h * v:(h + 1) * v],
+                           scalar_name=scalar_name)
 
     def export(name, per_patch, per_vertex):
         expl.write_patch_csv(os.path.join(args.out, name + ".csv"),
                              per_patch, model)
-        if model.hemispheres == 1:
-            surf.write_ply(os.path.join(args.out, name + ".ply"), mesh,
-                           per_vertex, scalar_name="activation")
-        else:
-            v = mesh.n_vertices
-            for h in range(model.hemispheres):
-                surf.write_ply(
-                    os.path.join(args.out, f"{name}.hemi{h}.ply"), mesh,
-                    per_vertex[h * v:(h + 1) * v], scalar_name="activation")
+        write_surface(name, per_vertex, "activation")
 
     if args.mode == "individual":
         samples = splits[args.split]
@@ -138,28 +133,20 @@ def _cmd_explain(args) -> int:
             print("error: no matching sample", file=sys.stderr)
             return 1
         for s in samples:
-            per_patch, per_vertex, prob = expl.activation_map(s, model, part)
+            per_patch, per_vertex, _ = expl.activation_map(s, model)
             export(f"activation_{s.subject_id}", per_patch, per_vertex)
         print(f"wrote {len(samples)} activation map(s) to {args.out}")
     elif args.mode == "group":
         per_patch, per_vertex = expl.group_mean_map(
-            splits[args.split], model, part, true_label=1,
+            splits[args.split], model, true_label=1,
             predicted_correct=True)
         export("group_mean_activation", per_patch, per_vertex)
         print(f"wrote group mean map to {args.out}")
     elif args.mode == "prototypes":
         per_vertex = expl.export_prototype_surface(
-            model, splits["train"], args.channel, part)
-        name = f"prototype_{model.channels[args.channel]}"
-        if model.hemispheres == 1:
-            surf.write_ply(os.path.join(args.out, name + ".ply"), mesh,
-                           per_vertex, scalar_name="feature")
-        else:
-            v = mesh.n_vertices
-            for h in range(model.hemispheres):
-                surf.write_ply(os.path.join(args.out, f"{name}.hemi{h}.ply"),
-                               mesh, per_vertex[h * v:(h + 1) * v],
-                               scalar_name="feature")
+            model, splits["train"], args.channel)
+        write_surface(f"prototype_{model.channels[args.channel]}",
+                      per_vertex, "feature")
         print(f"wrote stitched prototype surface to {args.out}")
     else:  # overlap
         models = [model] + [tr.load_checkpoint(c)

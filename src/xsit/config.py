@@ -1,8 +1,9 @@
 """Run configuration: built-in defaults < config file < CLI overrides.
 
-The config file is JSON with four sections (encoder, psp, train, data); the
+The config file is JSON with three sections (encoder, psp, train); the
 resolved effective config is echoed to <out>/config.resolved.json on every
-training run.
+training run. Every value, from the file or an override, must have its
+default's JSON type (a float key also takes an integer) and lie in range.
 """
 
 from __future__ import annotations
@@ -35,9 +36,15 @@ DEFAULTS = {
         "seed": 0,
         "class_weighted": True,
     },
-    "data": {
-        "normalize": True,
-    },
+}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+# Ranges beyond the type: (test, description) per key.
+_RANGES = {
+    "encoder.dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "train.lr": (lambda v: v > 0.0, "> 0"),
+    "train.weight_decay": (lambda v: v >= 0.0, ">= 0"),
 }
 
 
@@ -45,25 +52,54 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(section: str, key: str, val):
+    """`val` as the type of the key's default, or ConfigError. Bools are
+    JSON true/false only, ints take no fractional part, floats take ints."""
+    dotted = f"{section}.{key}"
+    if section not in DEFAULTS or key not in DEFAULTS[section]:
+        raise ConfigError(f"unknown config key '{dotted}'")
+    kind = type(DEFAULTS[section][key])
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind is bool:
+        ok = isinstance(val, bool)
+    elif kind is int:
+        ok = number and (isinstance(val, int) or val.is_integer())
+    else:
+        ok = number
+    if not ok:
+        raise ConfigError(f"config key '{dotted}' needs "
+                          f"{_TYPE_NAMES[kind]}, got {val!r}")
+    val = kind(val)
+    if dotted in _RANGES and not _RANGES[dotted][0](val):
+        raise ConfigError(f"config key '{dotted}' must be "
+                          f"{_RANGES[dotted][1]}, got {val!r}")
+    return val
+
+
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
-    """Merge defaults, an optional JSON file, and flat 'section.key' overrides."""
+    """Merge defaults, an optional JSON file, and flat 'section.key'
+    overrides. An override given as text is read as JSON, so 'true' is a
+    bool and '3' an int; text that is not JSON stays a string."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as f:
             user = json.load(f)
+        if not isinstance(user, dict) or not all(
+                isinstance(v, dict) for v in user.values()):
+            raise ConfigError(f"{path}: config must map sections to objects")
         for section, values in user.items():
             if section not in cfg:
                 raise ConfigError(f"unknown config section '{section}'")
             for key, val in values.items():
-                if key not in cfg[section]:
-                    raise ConfigError(f"unknown config key '{section}.{key}'")
-                cfg[section][key] = val
+                cfg[section][key] = _checked(section, key, val)
     for dotted, val in (overrides or {}).items():
+        if isinstance(val, str):
+            try:
+                val = json.loads(val)
+            except json.JSONDecodeError:
+                pass
         section, _, key = dotted.partition(".")
-        if section not in cfg or key not in cfg[section]:
-            raise ConfigError(f"unknown config key '{dotted}'")
-        cfg[section][key] = type(DEFAULTS[section][key])(val) \
-            if not isinstance(val, type(DEFAULTS[section][key])) else val
+        cfg[section][key] = _checked(section, key, val)
     return cfg
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import encoder as enc
 from . import psp
 from . import surface as surf
-from .tensor import Tensor
-from .train import Model
+from .train import Model, activations, normalized
 
 
 class ExplainError(ValueError):
@@ -22,25 +20,19 @@ class ExplainError(ValueError):
 
 
 def activation_map(sample: surf.SurfaceSample, model: Model,
-                   partition: surf.PatchPartition | None = None,
-                   normalize_input: bool = True):
-    """Returns (per_patch [N_total], per_vertex [V_total], probability).
+                   partition: surf.PatchPartition | None = None):
+    """Returns (per_patch [N_total], per_vertex [V_total], probability) of
+    one raw sample.
 
     Per-vertex values broadcast each patch's activation to its vertices;
-    boundary vertices take the mean over their adjacent patches.
+    boundary vertices take the mean over their adjacent patches. The model
+    carries its own partition; `partition` is accepted for callers that
+    pass it and is not used.
     """
-    part = partition if partition is not None else model.partition()
-    s = surf.normalize(sample, model.stats, model.channels) \
-        if normalize_input else sample
-    patches = surf.patchify(s, part, model.hemispheres)[None]
-    emb = enc.encode(Tensor(patches), model.params, model.enc_cfg,
-                     training=False)
-    cos = psp.rectified_cosine(emb, model.bank.xi,
-                               model.rectify_prototypes).data[0]
-    w = psp.sparse_weights(model.scaler.logits).data
-    per_patch = w * cos
+    per_patch = activations(model, normalized([sample], model))[0]
     prob = float(per_patch.sum())
-    return per_patch, vertex_map(per_patch, part, model.hemispheres), prob
+    return per_patch, vertex_map(per_patch, model.partition(),
+                                 model.hemispheres), prob
 
 
 def vertex_map(per_patch: np.ndarray, partition: surf.PatchPartition,
@@ -65,7 +57,6 @@ def vertex_map(per_patch: np.ndarray, partition: surf.PatchPartition,
 
 
 def group_mean_map(samples: list, model: Model,
-                   partition: surf.PatchPartition | None = None,
                    true_label: int | None = None,
                    predicted_correct: bool | None = None):
     """Mean activation map over a filtered sample group.
@@ -73,32 +64,28 @@ def group_mean_map(samples: list, model: Model,
     Filters: true_label keeps samples with that label; predicted_correct
     keeps samples whose thresholded prediction matches (or mismatches) the
     label. Returns (per_patch mean, per_vertex mean)."""
-    part = partition if partition is not None else model.partition()
-    maps = []
-    for s in samples:
-        if true_label is not None and s.label != true_label:
-            continue
-        per_patch, _, prob = activation_map(s, model, part)
-        if predicted_correct is not None:
-            correct = (prob >= 0.5) == (s.label == 1)
-            if correct != predicted_correct:
-                continue
-        maps.append(per_patch)
-    if not maps:
+    group = [s for s in samples
+             if true_label is None or s.label == true_label]
+    if not group:
         raise ExplainError("group filter matched no samples")
+    maps = activations(model, normalized(group, model))
+    if predicted_correct is not None:
+        correct = (maps.sum(axis=-1) >= 0.5) == \
+            np.array([s.label == 1 for s in group])
+        maps = maps[correct == predicted_correct]
+        if not len(maps):
+            raise ExplainError("group filter matched no samples")
     mean = np.mean(maps, axis=0)
-    return mean, vertex_map(mean, part, model.hemispheres)
+    return mean, vertex_map(mean, model.partition(), model.hemispheres)
 
 
 def export_prototype_surface(model: Model, train_samples: list,
-                             channel: int,
-                             partition: surf.PatchPartition | None = None
-                             ) -> np.ndarray:
+                             channel: int) -> np.ndarray:
     """Stitch the provenance subjects' raw channel values into one surface.
 
     Patches with w_i = 0 are masked (NaN); boundary vertices claimed by
     several unmasked patches are averaged."""
-    part = partition if partition is not None else model.partition()
+    part = model.partition()
     w = psp.sparse_weights(model.scaler.logits).data
     by_id = {s.subject_id: s for s in train_samples}
     v = surf.vertex_count(part.mesh_order)

@@ -41,11 +41,6 @@ class SparseScaler:
         return cls(logits=Tensor(np.zeros(n_patches, np.float32),
                                  requires_grad=True))
 
-    def dense_weights(self) -> np.ndarray:
-        z = self.logits.data - self.logits.data.max()
-        e = np.exp(z)
-        return e / e.sum()
-
 
 def rectified_cosine(x: Tensor, xi: Tensor,
                      rectify_prototypes: bool = True) -> Tensor:
@@ -64,47 +59,45 @@ def sparse_weights(logits: Tensor) -> Tensor:
     return kept.div(kept.sum())
 
 
+def patch_activations(x: Tensor, bank: PrototypeBank,
+                      scaler: SparseScaler,
+                      rectify_prototypes: bool = True) -> Tensor:
+    """Per-patch activations w_i * cos(relu(x_i), relu(xi_i)) for x of shape
+    [..., N, D]; returns [..., N]. They sum to P(c|x)."""
+    if x.shape[-2:] != bank.xi.shape:
+        raise TensorError(
+            f"patch_activations: embeddings {x.shape} vs prototypes "
+            f"{bank.xi.shape}")
+    cos = rectified_cosine(x, bank.xi, rectify_prototypes)  # [..., N]
+    return cos.mul(sparse_weights(scaler.logits))
+
+
 def class_probability(x: Tensor, bank: PrototypeBank,
                       scaler: SparseScaler,
                       rectify_prototypes: bool = True) -> Tensor:
     """P(c|x) for x of shape [N, D] or [B, N, D]; returns scalar or [B]."""
-    if x.shape[-2:] != bank.xi.shape:
-        raise TensorError(
-            f"class_probability: embeddings {x.shape} vs prototypes "
-            f"{bank.xi.shape}")
-    cos = rectified_cosine(x, bank.xi, rectify_prototypes)  # [..., N]
-    w = sparse_weights(scaler.logits)             # [N]
-    return cos.mul(w).sum(axis=-1)
+    return patch_activations(x, bank, scaler, rectify_prototypes).sum(axis=-1)
 
 
 def project_prototypes(bank: PrototypeBank, params: dict,
                        config: enc.EncoderConfig, samples: list,
                        partition: surf.PatchPartition, hemispheres: int,
-                       epoch: int, batch_size: int = 16) -> None:
+                       epoch: int, batch_size: int = 16,
+                       rectify_prototypes: bool = True) -> None:
     """Replace every prototype with the most similar real patch embedding at
     its position, searching the given candidate samples (inference-mode
-    encoding). Ties go to the lexicographically lowest subject id."""
+    encoding) under the decoder's own similarity. Ties go to the
+    lexicographically lowest subject id."""
     if not samples:
         raise TensorError("project_prototypes: empty candidate set")
     ordered = sorted(samples, key=lambda s: s.subject_id)
     embeddings = encode_samples(ordered, params, config, partition,
                                 hemispheres, batch_size)  # C x N x D
-    xi = bank.xi.data
-    n = xi.shape[0]
-    # rectified cosine of each candidate embedding against the current xi
-    u = np.maximum(embeddings, 0.0)
-    v = np.maximum(xi, 0.0)[None]
-    nu = np.sqrt((u * u).sum(axis=-1))
-    nv = np.sqrt((v * v).sum(axis=-1))
-    valid = (nu >= 1e-8) & (nv >= 1e-8)
-    sim = np.where(valid, (u * v).sum(axis=-1) /
-                   np.where(valid, nu * nv, 1.0), 0.0)   # C x N
+    sim = rectified_cosine(Tensor(embeddings), Tensor(bank.xi.data),
+                           rectify_prototypes).data      # C x N
     best = sim.argmax(axis=0)                            # first max = lowest id
-    new_xi = xi.copy()
-    for i in range(n):
-        new_xi[i] = embeddings[best[i], i]
-        bank.provenance[i] = (ordered[best[i]].subject_id, epoch)
-    bank.xi.data = new_xi
+    bank.xi.data = embeddings[best, np.arange(len(best))]
+    bank.provenance = [(ordered[b].subject_id, epoch) for b in best]
 
 
 def encode_samples(samples: list, params: dict, config: enc.EncoderConfig,

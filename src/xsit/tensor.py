@@ -90,17 +90,11 @@ class Tensor:
             raise TensorError("item() needs a scalar tensor")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     # -- graph construction helpers ----------------------------------------
     def _make(self, data, parents, backward, op):
@@ -203,12 +197,6 @@ class Tensor:
     __matmul__ = matmul
 
     # -- elementwise nonlinearities -----------------------------------------
-    def relu(self) -> "Tensor":
-        out = self._make(np.maximum(self.data, 0), (self,), None, "relu")
-        # subgradient at 0 is 0
-        out._backward = lambda g: self._accum(g * (self.data > 0))
-        return out
-
     def gelu(self) -> "Tensor":
         x = self.data
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
@@ -224,11 +212,6 @@ class Tensor:
         with np.errstate(invalid="ignore", divide="ignore"):
             out = self._make(np.log(self.data), (self,), None, "log")
         out._backward = lambda g: self._accum(g / self.data)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        out = self._make(np.sqrt(self.data), (self,), None, "sqrt")
-        out._backward = lambda g: self._accum(g * 0.5 / out.data)
         return out
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
@@ -267,20 +250,6 @@ class Tensor:
                          "transpose")
         inv = tuple(np.argsort(axes))
         out._backward = lambda g: self._accum(np.transpose(g, inv))
-        return out
-
-    def narrow(self, axis: int, start: int, length: int) -> "Tensor":
-        """Contiguous slice along one axis (the op-level slice primitive)."""
-        idx = [slice(None)] * self.ndim
-        idx[axis] = slice(start, start + length)
-        idx = tuple(idx)
-        out = self._make(self.data[idx], (self,), None, "slice")
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            full[idx] = g
-            self._accum(full)
-        out._backward = backward
         return out
 
     # -- fused ops ----------------------------------------------------------
@@ -389,31 +358,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         return visits
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise TensorError("concat of zero tensors")
-    datas = [t.data for t in tensors]
-    out = tensors[0]._make(np.concatenate(datas, axis=axis), tuple(tensors),
-                           None, "concat")
-    sizes = [d.shape[axis] for d in datas]
-
-    def backward(g):
-        start = 0
-        idx = [slice(None)] * g.ndim
-        for t, s in zip(tensors, sizes):
-            idx[axis] = slice(start, start + s)
-            t._accum(g[tuple(idx)])
-            start += s
-    out._backward = backward
-    return out
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:])
-                   for t in tensors], axis=axis)
 
 
 # -- AdamW -------------------------------------------------------------------

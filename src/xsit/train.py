@@ -14,7 +14,7 @@ import numpy as np
 from . import encoder as enc
 from . import psp
 from . import surface as surf
-from .config import TrainConfig, encoder_config, train_config
+from .config import encoder_config, train_config
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
@@ -81,6 +81,7 @@ class Model:
     hemispheres: int
     channels: list
     stats: dict
+    part: surf.PatchPartition
     rectify_prototypes: bool = True
     class_restricted_projection: bool = True
 
@@ -91,7 +92,7 @@ class Model:
         return out
 
     def partition(self) -> surf.PatchPartition:
-        return surf.build_partition(self.mesh_order, self.patch_order)
+        return self.part
 
 
 def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
@@ -108,38 +109,35 @@ def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
                  patch_order=manifest.patch_order,
                  hemispheres=manifest.hemispheres,
                  channels=list(manifest.channels), stats=manifest.stats,
+                 part=part,
                  rectify_prototypes=cfg["psp"]["rectify_prototypes"],
                  class_restricted_projection=cfg["psp"][
                      "class_restricted_projection"])
 
 
-def _prepare(samples, model: Model, do_normalize: bool):
-    if not do_normalize:
-        return list(samples)
+def normalized(samples, model: Model) -> list:
+    """Samples z-normalised with the model's dataset statistics."""
     return [surf.normalize(s, model.stats, model.channels) for s in samples]
 
 
-def predict_probs(model: Model, samples, partition=None,
-                  batch_size: int = 16) -> np.ndarray:
+def activations(model: Model, samples) -> np.ndarray:
+    """Inference-mode per-patch activations [S, N_total] of
+    already-normalized samples; each row sums to its class probability."""
+    emb = psp.encode_samples(samples, model.params, model.enc_cfg,
+                             model.partition(), model.hemispheres)
+    return psp.patch_activations(Tensor(emb), model.bank, model.scaler,
+                                 model.rectify_prototypes).data
+
+
+def predict_probs(model: Model, samples) -> np.ndarray:
     """Inference-mode class probabilities, already-normalized samples."""
-    part = partition if partition is not None else model.partition()
-    probs = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        patches = np.stack([surf.patchify(s, part, model.hemispheres)
-                            for s in chunk])
-        emb = enc.encode(Tensor(patches), model.params, model.enc_cfg,
-                         training=False)
-        p = psp.class_probability(emb, model.bank, model.scaler,
-                                  model.rectify_prototypes)
-        probs.append(p.data)
-    return np.concatenate(probs)
+    return activations(model, samples).sum(axis=-1)
 
 
-def evaluate(model: Model, samples, normalize_inputs: bool = True,
-             partition=None) -> MetricsReport:
-    prepared = _prepare(samples, model, normalize_inputs)
-    probs = predict_probs(model, prepared, partition)
+def evaluate(model: Model, samples,
+             normalize_inputs: bool = True) -> MetricsReport:
+    prepared = normalized(samples, model) if normalize_inputs else samples
+    probs = predict_probs(model, prepared)
     labels = np.array([s.label for s in samples])
     return compute_metrics(probs, labels)
 
@@ -167,15 +165,20 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         raise TrainError("train and val splits must be nonempty")
     model = init_model(cfg, manifest)
     part = model.partition()
-    do_norm = cfg["data"]["normalize"]
-    train_samples = _prepare(splits["train"], model, do_norm)
-    val_samples = _prepare(splits["val"], model, do_norm)
+    train_samples = normalized(splits["train"], model)
+    val_samples = normalized(splits["val"], model)
     labels = np.array([s.label for s in splits["train"]])
     cw = class_weights(labels) if tcfg.class_weighted else (1.0, 1.0)
     candidates = [s for s in train_samples
                   if s.label == 1 or not model.class_restricted_projection]
     if not candidates:
         raise TrainError("no projection candidates in the training split")
+
+    def project(epoch):
+        psp.project_prototypes(model.bank, model.params, model.enc_cfg,
+                               candidates, part, model.hemispheres,
+                               epoch=epoch,
+                               rectify_prototypes=model.rectify_prototypes)
 
     patches_all = np.stack([surf.patchify(s, part, model.hemispheres)
                             for s in train_samples])
@@ -186,8 +189,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     if tcfg.epochs > 0:
         # initial projection: prototypes are real cases from the start, so
         # the scaler's early patch selection tracks true discriminability
-        psp.project_prototypes(model.bank, model.params, model.enc_cfg,
-                               candidates, part, model.hemispheres, epoch=-1)
+        project(epoch=-1)
     for epoch in range(tcfg.epochs):
         shuffle_rng = np.random.default_rng([tcfg.seed, 1, epoch])
         dropout_rng = np.random.default_rng([tcfg.seed, 2, epoch])
@@ -211,10 +213,8 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
             optim.step()
             losses.append(loss.item())
         if (epoch + 1) % tcfg.projection_period == 0:
-            psp.project_prototypes(model.bank, model.params, model.enc_cfg,
-                                   candidates, part, model.hemispheres,
-                                   epoch=epoch)
-        val = evaluate(model, splits["val"], do_norm, part)
+            project(epoch=epoch)
+        val = evaluate(model, val_samples, normalize_inputs=False)
         history.append((epoch, float(np.mean(losses)), val.bacc, val.f1))
         # later epoch wins ties: with an easily saturated validation set the
         # earliest tied checkpoint is undertrained and its scaler diffuse
@@ -222,10 +222,8 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
             best = (val.bacc, epoch, _snapshot(model))
     if tcfg.epochs > 0:
         _restore(model, best[2])
-        psp.project_prototypes(model.bank, model.params, model.enc_cfg,
-                               candidates, part, model.hemispheres,
-                               epoch=best[1])
-        val = evaluate(model, splits["val"], do_norm, part)
+        project(epoch=best[1])
+        val = evaluate(model, val_samples, normalize_inputs=False)
         history.append(("final", "", val.bacc, val.f1))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -292,7 +290,7 @@ def load_checkpoint(path: str) -> Model:
                  mesh_order=meta["mesh_order"],
                  patch_order=meta["patch_order"],
                  hemispheres=meta["hemispheres"], channels=meta["channels"],
-                 stats=meta["stats"],
+                 stats=meta["stats"], part=part,
                  rectify_prototypes=meta["rectify_prototypes"],
                  class_restricted_projection=meta[
                      "class_restricted_projection"])

@@ -67,6 +67,13 @@ class TestTrain:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_non_bool_override(self, workspace, capsys):
+        _, data, _ = workspace
+        rc = cli.main(["train", "--data", data, "--out", "/tmp/x",
+                       "--set", "train.class_weighted=no"])
+        assert rc == 1
+        assert "train.class_weighted" in capsys.readouterr().err
+
     def test_malformed_override(self, workspace, capsys):
         _, data, _ = workspace
         rc = cli.main(["train", "--data", data, "--out", "/tmp/x",

@@ -60,3 +60,74 @@ class TestTrainConfig:
             cfgmod.TrainConfig(projection_period=0)
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.TrainConfig(epochs=-1)
+
+
+class TestStrictTypes:
+    """One check for config-file values and overrides alike."""
+
+    def write(self, tmp_path, cfg):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        return str(p)
+
+    def test_data_section_is_gone(self, tmp_path):
+        with pytest.raises(cfgmod.ConfigError, match="data.normalize"):
+            cfgmod.load_config(overrides={"data.normalize": "false"})
+        with pytest.raises(cfgmod.ConfigError, match="section 'data'"):
+            cfgmod.load_config(self.write(tmp_path,
+                                          {"data": {"normalize": False}}))
+
+    def test_bool_only_from_json_bools(self, tmp_path):
+        for val in ("no", "yes", "1", 1, 0):
+            with pytest.raises(cfgmod.ConfigError, match="true or false"):
+                cfgmod.load_config(overrides={"train.class_weighted": val})
+        with pytest.raises(cfgmod.ConfigError, match="class_weighted"):
+            cfgmod.load_config(self.write(
+                tmp_path, {"train": {"class_weighted": "no"}}))
+        cfg = cfgmod.load_config(overrides={"train.class_weighted": "false"})
+        assert cfg["train"]["class_weighted"] is False
+
+    def test_int_rejects_fractions(self, tmp_path):
+        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+            cfgmod.load_config(overrides={"train.epochs": "2.7"})
+        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+            cfgmod.load_config(self.write(tmp_path, {"train": {"epochs": 2.7}}))
+        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+            cfgmod.load_config(overrides={"train.epochs": True})
+        cfg = cfgmod.load_config(overrides={"train.epochs": "5.0"})
+        assert cfg["train"]["epochs"] == 5
+        assert isinstance(cfg["train"]["epochs"], int)
+
+    def test_float_accepts_int(self, tmp_path):
+        cfg = cfgmod.load_config(self.write(tmp_path, {"train": {"lr": 1}}),
+                                 {"encoder.dropout": "0"})
+        assert cfg["train"]["lr"] == 1.0
+        assert isinstance(cfg["train"]["lr"], float)
+        assert isinstance(cfg["encoder"]["dropout"], float)
+
+    def test_file_must_map_sections_to_objects(self, tmp_path):
+        for bad in ([], {"train": 5}):
+            with pytest.raises(cfgmod.ConfigError, match="sections"):
+                cfgmod.load_config(self.write(tmp_path, bad))
+
+    def test_file_string_is_not_a_number(self, tmp_path):
+        with pytest.raises(cfgmod.ConfigError, match="train.lr"):
+            cfgmod.load_config(self.write(tmp_path,
+                                          {"train": {"lr": "0.001"}}))
+
+    def test_dropout_below_one(self):
+        with pytest.raises(cfgmod.ConfigError, match=r"\[0, 1\)"):
+            cfgmod.load_config(overrides={"encoder.dropout": "1.0"})
+        with pytest.raises(cfgmod.ConfigError, match=r"\[0, 1\)"):
+            cfgmod.load_config(overrides={"encoder.dropout": "-0.1"})
+        cfg = cfgmod.load_config(overrides={"encoder.dropout": "0.99"})
+        assert cfg["encoder"]["dropout"] == 0.99
+
+    def test_lr_positive_and_weight_decay_nonnegative(self):
+        for lr in ("0", "-1"):
+            with pytest.raises(cfgmod.ConfigError, match="train.lr"):
+                cfgmod.load_config(overrides={"train.lr": lr})
+        with pytest.raises(cfgmod.ConfigError, match="weight_decay"):
+            cfgmod.load_config(overrides={"train.weight_decay": "-1e-3"})
+        cfg = cfgmod.load_config(overrides={"train.weight_decay": "0"})
+        assert cfg["train"]["weight_decay"] == 0.0

@@ -165,6 +165,28 @@ class TestProjection:
             assert bank.provenance[p] == (ordered[best].subject_id, 4)
             np.testing.assert_array_equal(bank.xi.data[p], emb[best, p])
 
+    def test_unrectified_prototypes_use_the_decoders_similarity(self,
+                                                                  setting):
+        """With rectify_prototypes=False each source is the argmax of the
+        decoder's own similarity, cos(relu(x), xi), not of the rectified
+        one."""
+        cfg, params, partition, samples = setting
+        bank = psp.PrototypeBank.init(80, 8, seed=3)
+        xi0 = bank.xi.data.copy()
+        psp.project_prototypes(bank, params, cfg, samples, partition,
+                               hemispheres=1, epoch=0,
+                               rectify_prototypes=False)
+        ordered = sorted(samples, key=lambda s: s.subject_id)
+        emb = psp.encode_samples(ordered, params, cfg, partition, 1)
+        own = psp.rectified_cosine(Tensor(emb), Tensor(xi0), False).data
+        rect = psp.rectified_cosine(Tensor(emb), Tensor(xi0), True).data
+        got = [[s.subject_id for s in ordered].index(p[0])
+               for p in bank.provenance]
+        np.testing.assert_array_equal(got, own.argmax(axis=0))
+        assert np.any(own.argmax(axis=0) != rect.argmax(axis=0))
+        np.testing.assert_array_equal(bank.xi.data,
+                                      emb[got, np.arange(80)])
+
     def test_idempotent(self, setting):
         cfg, params, partition, samples = setting
         bank = psp.PrototypeBank.init(80, 8, seed=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xsit.tensor import (AdamW, AdamWState, Tensor, TensorError, adamw_step,
-                         concat, load_arrays, save_arrays)
+                         load_arrays, save_arrays)
 
 
 def fd_grad(fn, t, h=1e-6):
@@ -127,18 +127,14 @@ class TestLayernorm:
 
 
 class TestElementwise:
-    def test_relu(self):
-        np.testing.assert_array_equal(
-            Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
-
     def test_sum_of_ones(self):
         assert Tensor(np.ones((3, 4))).sum().item() == 12.0
 
-    @pytest.mark.parametrize("op", ["add", "mul", "div", "relu", "gelu",
-                                    "log", "sqrt", "sum", "mean", "neg"])
+    @pytest.mark.parametrize("op", ["add", "mul", "div", "gelu", "log",
+                                    "sum", "mean", "neg"])
     def test_grad_vs_fd(self, op):
         rng = np.random.default_rng(hash(op) % 2 ** 31)
-        if op in ("log", "sqrt"):
+        if op == "log":
             x = randt(rng, (3, 4), lo=0.5, hi=2.0)
         else:
             x = randt(rng, (3, 4))
@@ -151,22 +147,15 @@ class TestElementwise:
                 Tensor([1.0, -2.0, 0.5], dtype=np.float64)).sum()
             assert_grad_matches(fn, [x])
         else:
-            # relu kinks at 0: inputs here stay away from it
-            x = randt(rng, (3, 4), lo=0.25, hi=2.0) if op == "relu" else x
             fn = lambda: (getattr(x, op)() * getattr(x, op)()).sum()
             assert_grad_matches(fn, [x])
 
     def test_structural_grads(self):
         rng = np.random.default_rng(11)
         x = randt(rng, (3, 4))
-        y = randt(rng, (2, 4))
-        c = Tensor(rng.uniform(-1, 1, (5, 4)), dtype=np.float64)
-        fn = lambda: (concat([x, y], axis=0) * c).sum()
-        assert_grad_matches(fn, [x, y])
-        fn2 = lambda: (x.reshape(4, 3).transpose((1, 0)).narrow(1, 1, 2)
-                       * x.reshape(4, 3).transpose((1, 0)).narrow(1, 1, 2)
-                       ).sum()
-        assert_grad_matches(fn2, [x])
+        fn = lambda: (x.reshape(4, 3).transpose((1, 0))
+                      * x.reshape(4, 3).transpose((1, 0))).sum()
+        assert_grad_matches(fn, [x])
 
     def test_leading_broadcast_only(self):
         a = Tensor(np.ones((2, 3, 4)))
