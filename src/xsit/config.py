@@ -3,14 +3,14 @@
 The config file is JSON with three sections (encoder, psp, train); the
 resolved effective config is echoed to <out>/config.resolved.json on every
 training run. Every value, from the file or an override, must have its
-default's JSON type (a float key also takes an integer) and lie in range.
+default's JSON type (a float key also takes an integer) and lie in range,
+and the encoder section must pass EncoderConfig's own checks.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
 
 from .encoder import EncoderConfig
 
@@ -45,6 +45,9 @@ _RANGES = {
     "encoder.dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "train.lr": (lambda v: v > 0.0, "> 0"),
     "train.weight_decay": (lambda v: v >= 0.0, ">= 0"),
+    "train.epochs": (lambda v: v >= 0, ">= 0"),
+    "train.batch_size": (lambda v: v >= 1, ">= 1"),
+    "train.projection_period": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -100,36 +103,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 pass
         section, _, key = dotted.partition(".")
         cfg[section][key] = _checked(section, key, val)
+    try:
+        EncoderConfig(**cfg["encoder"])
+    except ValueError as e:
+        raise ConfigError(f"config key {e}") from e
     return cfg
-
-
-def encoder_config(cfg: dict, seq_len: int, patch_size: int,
-                   channels: int) -> EncoderConfig:
-    e = cfg["encoder"]
-    return EncoderConfig(dim=e["dim"], depth=e["depth"], heads=e["heads"],
-                         mlp_ratio=e["mlp_ratio"], dropout=e["dropout"],
-                         seq_len=seq_len, patch_size=patch_size,
-                         channels=channels)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 16
-    lr: float = 1e-4
-    weight_decay: float = 1e-2
-    projection_period: int = 5
-    seed: int = 0
-    class_weighted: bool = True
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.projection_period < 1 or self.batch_size < 1:
-            raise ConfigError("train config out of range")
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
-                       lr=t["lr"], weight_decay=t["weight_decay"],
-                       projection_period=t["projection_period"], seed=t["seed"],
-                       class_weighted=t["class_weighted"])

@@ -28,12 +28,15 @@ class EncoderConfig:
     channels: int = 3        # F
 
     def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ValueError("attention heads must divide the latent dim")
         for name in ("dim", "depth", "heads", "mlp_ratio", "seq_len",
                      "patch_size", "channels"):
-            if getattr(self, name) < (0 if name == "depth" else 1):
-                raise ValueError(f"encoder config: {name} out of range")
+            val, low = getattr(self, name), 0 if name == "depth" else 1
+            if val < low:
+                raise ValueError(f"'encoder.{name}' must be >= {low}, "
+                                 f"got {val}")
+        if self.dim % self.heads != 0:
+            raise ValueError(f"'encoder.heads' must divide 'encoder.dim', "
+                             f"got {self.heads} and {self.dim}")
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:

@@ -36,11 +36,6 @@ class PrototypeBank:
 class SparseScaler:
     logits: Tensor                 # N_total, learnable
 
-    @classmethod
-    def init(cls, n_patches: int) -> "SparseScaler":
-        return cls(logits=Tensor(np.zeros(n_patches, np.float32),
-                                 requires_grad=True))
-
 
 def rectified_cosine(x: Tensor, xi: Tensor,
                      rectify_prototypes: bool = True) -> Tensor:

@@ -11,6 +11,7 @@ one exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -457,17 +458,30 @@ def save_arrays(path: str, arrays: dict, meta: dict | None = None) -> None:
 
 
 def load_arrays(path: str):
-    """Returns (arrays: dict[str, np.ndarray], meta: dict)."""
+    """Returns (arrays: dict[str, np.ndarray], meta: dict). A header or an
+    entry that does not fit the file is a TensorError naming both."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise TensorError(f"{path}: not a checkpoint container")
-        hlen = int(np.frombuffer(f.read(4), dtype="<u4")[0])
-        header = json.loads(f.read(hlen))
-        base = f.tell()
-        arrays = {}
-        for name, ent in header["arrays"].items():
-            f.seek(base + ent["offset"])
-            raw = f.read(ent["nbytes"])
-            arrays[name] = np.frombuffer(raw, dtype=ent["dtype"]).reshape(
-                ent["shape"]).copy()
+        blob = f.read()
+    hlen = int.from_bytes(blob[:4], "little")
+    if len(blob) < 4 + hlen:
+        raise TensorError(f"{path}: header of {hlen} bytes, file truncated")
+    try:
+        header = json.loads(blob[4:4 + hlen])
+    except ValueError as e:
+        raise TensorError(f"{path}: corrupt header ({e})") from e
+    payload = memoryview(blob)[4 + hlen:]
+    arrays = {}
+    for name, ent in header["arrays"].items():
+        dtype, start = np.dtype(ent["dtype"]), ent["offset"]
+        end = start + ent["nbytes"]
+        if ent["nbytes"] != math.prod(ent["shape"]) * dtype.itemsize:
+            raise TensorError(f"{path}: entry '{name}' has {ent['nbytes']} "
+                              f"bytes for shape {ent['shape']} of {dtype}")
+        if not 0 <= start <= end <= len(payload):
+            raise TensorError(f"{path}: entry '{name}' ends at payload byte "
+                              f"{end} of {len(payload)}, file truncated")
+        arrays[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(
+            ent["shape"]).copy()
     return arrays, header["meta"]

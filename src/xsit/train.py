@@ -14,7 +14,6 @@ import numpy as np
 from . import encoder as enc
 from . import psp
 from . import surface as surf
-from .config import encoder_config, train_config
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
@@ -69,21 +68,28 @@ def weighted_bce(p: Tensor, y: np.ndarray, weights: tuple = (1.0, 1.0)) -> Tenso
     return cw.mul(ll).mean().neg()
 
 
+def _from_meta(key: str) -> property:
+    return property(lambda self: self.meta[key])
+
+
 @dataclass
 class Model:
-    """Everything needed for inference, explanation, and checkpointing."""
+    """Everything needed for inference, explanation, and checkpointing.
+    `meta` is what the checkpoint stores besides the arrays."""
     params: dict                   # encoder parameter tensors
     enc_cfg: enc.EncoderConfig
     bank: psp.PrototypeBank
     scaler: psp.SparseScaler
-    mesh_order: int
-    patch_order: int
-    hemispheres: int
-    channels: list
-    stats: dict
     part: surf.PatchPartition
-    rectify_prototypes: bool = True
-    class_restricted_projection: bool = True
+    meta: dict
+
+    mesh_order = _from_meta("mesh_order")
+    patch_order = _from_meta("patch_order")
+    hemispheres = _from_meta("hemispheres")
+    channels = _from_meta("channels")
+    stats = _from_meta("stats")
+    rectify_prototypes = _from_meta("rectify_prototypes")
+    class_restricted_projection = _from_meta("class_restricted_projection")
 
     def trainable(self) -> dict:
         out = dict(self.params)
@@ -95,24 +101,52 @@ class Model:
         return self.part
 
 
-def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
-    part = surf.build_partition(manifest.mesh_order, manifest.patch_order)
-    n_total = part.n_patches * manifest.hemispheres
-    ecfg = encoder_config(cfg, seq_len=n_total, patch_size=part.patch_size,
-                          channels=len(manifest.channels))
-    seed = cfg["train"]["seed"]
-    params = enc.init_params(ecfg, seed)
-    bank = psp.PrototypeBank.init(n_total, ecfg.dim, seed + 1)
-    scaler = psp.SparseScaler.init(n_total)
+def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
+    """The one place a Model is put together: partition, EncoderConfig and
+    wrapped arrays, from `meta`. `arrays` maps names to arrays whose names
+    and shapes must be the model's, or draws them from the EncoderConfig;
+    `provenance` has one entry per prototype (None: never projected)."""
+    part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
+    n_total = part.n_patches * meta["hemispheres"]
+    ecfg = enc.EncoderConfig(**meta["encoder"], seq_len=n_total,
+                             patch_size=part.patch_size,
+                             channels=len(meta["channels"]))
+    arrays = arrays(ecfg) if callable(arrays) else arrays
+    shapes = {k: t.shape for k, t in enc.init_params(ecfg, 0).items()}
+    shapes.update({"psp.xi": (n_total, ecfg.dim), "psp.logits": (n_total,)})
+    for name in sorted(shapes.keys() | arrays.keys()):
+        got = f"shape {arrays[name].shape}" if name in arrays else "nothing"
+        want = f"shape {shapes[name]}" if name in shapes else "no such array"
+        if got != want:
+            raise TrainError(f"{source}: array '{name}': found {got}, "
+                             f"the model needs {want}")
+    provenance = [None] * n_total if provenance is None else provenance
+    if len(provenance) != n_total:
+        raise TrainError(f"{source}: {len(provenance)} provenance entries "
+                         f"for {n_total} prototypes")
+    params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    bank = psp.PrototypeBank(params.pop("psp.xi"), provenance)
+    scaler = psp.SparseScaler(params.pop("psp.logits"))
     return Model(params=params, enc_cfg=ecfg, bank=bank, scaler=scaler,
-                 mesh_order=manifest.mesh_order,
-                 patch_order=manifest.patch_order,
-                 hemispheres=manifest.hemispheres,
-                 channels=list(manifest.channels), stats=manifest.stats,
-                 part=part,
-                 rectify_prototypes=cfg["psp"]["rectify_prototypes"],
-                 class_restricted_projection=cfg["psp"][
-                     "class_restricted_projection"])
+                 part=part, meta=meta)
+
+
+def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
+    """A fresh model; its initial arrays are drawn from train.seed."""
+    seed = cfg["train"]["seed"]
+    meta = {k: getattr(manifest, k) for k in
+            ("mesh_order", "patch_order", "hemispheres", "channels", "stats")}
+    meta.update(cfg["psp"], encoder=dict(cfg["encoder"]),
+                config=copy.deepcopy(cfg))
+
+    def draw(ecfg):
+        arrays = {k: t.data for k, t in enc.init_params(ecfg, seed).items()}
+        arrays["psp.xi"] = psp.PrototypeBank.init(
+            ecfg.seq_len, ecfg.dim, seed + 1).xi.data
+        arrays["psp.logits"] = np.zeros(ecfg.seq_len, np.float32)
+        return arrays
+
+    return _assemble(meta, draw, None, "initial model")
 
 
 def normalized(samples, model: Model) -> list:
@@ -160,15 +194,15 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     """Train a model; returns (model, history rows). History rows are
     (epoch, train_loss, val_bacc, val_f1) with a trailing 'final' row after
     the mandatory end-of-training projection."""
-    tcfg = train_config(cfg)
-    if not splits["train"] or (tcfg.epochs > 0 and not splits["val"]):
+    tcfg = cfg["train"]
+    if not splits["train"] or (tcfg["epochs"] > 0 and not splits["val"]):
         raise TrainError("train and val splits must be nonempty")
     model = init_model(cfg, manifest)
     part = model.partition()
     train_samples = normalized(splits["train"], model)
     val_samples = normalized(splits["val"], model)
     labels = np.array([s.label for s in splits["train"]])
-    cw = class_weights(labels) if tcfg.class_weighted else (1.0, 1.0)
+    cw = class_weights(labels) if tcfg["class_weighted"] else (1.0, 1.0)
     candidates = [s for s in train_samples
                   if s.label == 1 or not model.class_restricted_projection]
     if not candidates:
@@ -182,21 +216,21 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
 
     patches_all = np.stack([surf.patchify(s, part, model.hemispheres)
                             for s in train_samples])
-    optim = AdamW(model.trainable(), lr=tcfg.lr,
-                  weight_decay=tcfg.weight_decay)
+    optim = AdamW(model.trainable(), lr=tcfg["lr"],
+                  weight_decay=tcfg["weight_decay"])
     history = []
     best = None  # (bacc, epoch, snapshot)
-    if tcfg.epochs > 0:
+    if tcfg["epochs"] > 0:
         # initial projection: prototypes are real cases from the start, so
         # the scaler's early patch selection tracks true discriminability
         project(epoch=-1)
-    for epoch in range(tcfg.epochs):
-        shuffle_rng = np.random.default_rng([tcfg.seed, 1, epoch])
-        dropout_rng = np.random.default_rng([tcfg.seed, 2, epoch])
+    for epoch in range(tcfg["epochs"]):
+        shuffle_rng = np.random.default_rng([tcfg["seed"], 1, epoch])
+        dropout_rng = np.random.default_rng([tcfg["seed"], 2, epoch])
         order = shuffle_rng.permutation(len(train_samples))
         losses = []
-        for bi, start in enumerate(range(0, len(order), tcfg.batch_size)):
-            idx = order[start:start + tcfg.batch_size]
+        for bi, start in enumerate(range(0, len(order), tcfg["batch_size"])):
+            idx = order[start:start + tcfg["batch_size"]]
             batch = Tensor(patches_all[idx])
             y = labels[idx]
             try:
@@ -212,7 +246,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
             loss.backward()
             optim.step()
             losses.append(loss.item())
-        if (epoch + 1) % tcfg.projection_period == 0:
+        if (epoch + 1) % tcfg["projection_period"] == 0:
             project(epoch=epoch)
         val = evaluate(model, val_samples, normalize_inputs=False)
         history.append((epoch, float(np.mean(losses)), val.bacc, val.f1))
@@ -220,14 +254,14 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         # earliest tied checkpoint is undertrained and its scaler diffuse
         if best is None or val.bacc >= best[0]:
             best = (val.bacc, epoch, _snapshot(model))
-    if tcfg.epochs > 0:
+    if tcfg["epochs"] > 0:
         _restore(model, best[2])
         project(epoch=best[1])
         val = evaluate(model, val_samples, normalize_inputs=False)
         history.append(("final", "", val.bacc, val.f1))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(os.path.join(out_dir, "model.xck"), model, cfg)
+        save_checkpoint(os.path.join(out_dir, "model.xck"), model)
         write_history_csv(os.path.join(out_dir, "metrics.csv"), history)
         with open(os.path.join(out_dir, "config.resolved.json"), "w") as f:
             json.dump(cfg, f, indent=2, sort_keys=True)
@@ -244,21 +278,11 @@ def write_history_csv(path: str, history) -> None:
 
 # -- checkpointing -----------------------------------------------------------
 
-def save_checkpoint(path: str, model: Model, cfg: dict | None = None) -> None:
-    arrays = {k: t.data for k, t in model.trainable().items()}
-    meta = {
-        "encoder": {"dim": model.enc_cfg.dim, "depth": model.enc_cfg.depth,
-                    "heads": model.enc_cfg.heads,
-                    "mlp_ratio": model.enc_cfg.mlp_ratio,
-                    "dropout": model.enc_cfg.dropout},
-        "mesh_order": model.mesh_order, "patch_order": model.patch_order,
-        "hemispheres": model.hemispheres, "channels": model.channels,
-        "stats": model.stats,
-        "rectify_prototypes": model.rectify_prototypes,
-        "class_restricted_projection": model.class_restricted_projection,
-        "config": cfg or {},
-    }
-    save_arrays(path, arrays, meta)
+def save_checkpoint(path: str, model: Model) -> None:
+    """Write the arrays with the model's meta, and the provenance sidecar
+    `<path>.provenance.json`; the two files travel together."""
+    save_arrays(path, {k: t.data for k, t in model.trainable().items()},
+                model.meta)
     sidecar = [list(p) if p is not None else None
                for p in model.bank.provenance]
     surf._atomic_write(path + ".provenance.json",
@@ -266,31 +290,18 @@ def save_checkpoint(path: str, model: Model, cfg: dict | None = None) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
+    """The model saved at `path`, with its required provenance sidecar."""
     arrays, meta = load_arrays(path)
-    part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
-    n_total = part.n_patches * meta["hemispheres"]
-    e = meta["encoder"]
-    ecfg = enc.EncoderConfig(dim=e["dim"], depth=e["depth"], heads=e["heads"],
-                             mlp_ratio=e["mlp_ratio"], dropout=e["dropout"],
-                             seq_len=n_total, patch_size=part.patch_size,
-                             channels=len(meta["channels"]))
-    params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()
-              if not k.startswith("psp.")}
-    bank = psp.PrototypeBank(
-        xi=Tensor(arrays["psp.xi"], requires_grad=True),
-        provenance=[None] * n_total)
-    scaler = psp.SparseScaler(
-        logits=Tensor(arrays["psp.logits"], requires_grad=True))
-    sidecar_path = path + ".provenance.json"
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as f:
-            bank.provenance = [tuple(p) if p is not None else None
-                               for p in json.load(f)]
-    return Model(params=params, enc_cfg=ecfg, bank=bank, scaler=scaler,
-                 mesh_order=meta["mesh_order"],
-                 patch_order=meta["patch_order"],
-                 hemispheres=meta["hemispheres"], channels=meta["channels"],
-                 stats=meta["stats"], part=part,
-                 rectify_prototypes=meta["rectify_prototypes"],
-                 class_restricted_projection=meta[
-                     "class_restricted_projection"])
+    side = path + ".provenance.json"
+    try:
+        with open(side) as f:
+            prov = json.load(f)
+    except (OSError, ValueError) as e:
+        raise TrainError(f"{side}: cannot read the provenance sidecar "
+                         f"({e})") from e
+    if not isinstance(prov, list) or not all(
+            p is None or isinstance(p, list) and len(p) == 2 for p in prov):
+        raise TrainError(f"{side}: expected a list of null or "
+                         f"[subject_id, epoch] entries")
+    return _assemble(meta, arrays, [tuple(p) if p else None for p in prov],
+                     path)

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from xsit import cli
 from xsit import synth
+from xsit.tensor import load_arrays, save_arrays
 
 
 SPEC = dict(mesh_order=2, patch_order=1, channels=2,
@@ -80,6 +82,23 @@ class TestTrain:
                        "--set", "badpair"])
         assert rc == 1
 
+    @pytest.mark.parametrize("setting", [
+        "train.batch_size=0", "train.projection_period=0", "train.epochs=-1",
+        "encoder.heads=5", "encoder.dim=0", "encoder.depth=-1"])
+    def test_bad_value_stops_before_loading_data(self, workspace, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 setting):
+        _, data, _ = workspace
+        calls = []
+        monkeypatch.setattr(cli.surf, "load_dataset",
+                            lambda *a: calls.append(a))
+        rc = cli.main(["train", "--data", data, "--out", str(tmp_path),
+                       "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 1 and calls == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert setting.split("=")[0] in err
+
 
 class TestEval:
     def test_json_report(self, workspace, capsys):
@@ -98,6 +117,50 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", "/tmp/does-not-exist.xck",
                        "--data", data, "--split", "test"])
         assert rc == 1
+
+
+class TestCheckpointDefects:
+    """A damaged checkpoint stops eval and explain with one error line."""
+
+    @pytest.mark.parametrize("defect,message", [
+        ("missing_array", "array 'block0.mlp.w1'"),
+        ("wrong_shape", "array 'psp.xi': found shape (80, 5)"),
+        ("missing_sidecar", "cannot read the provenance sidecar"),
+        ("short_sidecar", "1 provenance entries for 80 prototypes"),
+        ("truncated", "truncated")])
+    def test_error_line_and_exit_1(self, workspace, tmp_path, capsys,
+                                   defect, message):
+        _, data, run = workspace
+        ckpt = str(tmp_path / "model.xck")
+        side = ckpt + ".provenance.json"
+        shutil.copy(os.path.join(run, "model.xck"), ckpt)
+        shutil.copy(os.path.join(run, "model.xck.provenance.json"), side)
+        if defect in ("missing_array", "wrong_shape"):
+            arrays, meta = load_arrays(ckpt)
+            if defect == "missing_array":
+                del arrays["block0.mlp.w1"]
+            else:
+                arrays["psp.xi"] = arrays["psp.xi"][:, :5]
+            save_arrays(ckpt, arrays, meta)
+        elif defect == "missing_sidecar":
+            os.remove(side)
+        elif defect == "short_sidecar":
+            with open(side, "w") as f:
+                json.dump([["s0000", 2]], f)
+        else:
+            with open(ckpt, "rb") as f:
+                whole = f.read()
+            with open(ckpt, "wb") as f:
+                f.write(whole[:-100])
+        for args in (["eval", "--split", "test"],
+                     ["explain", "--mode", "individual",
+                      "--out", str(tmp_path / "ex")]):
+            rc = cli.main(args[:1] + ["--checkpoint", ckpt, "--data", data]
+                          + args[1:])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert ckpt in err and message in err
 
 
 class TestExplain:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -15,10 +16,10 @@ class TestLoadConfig:
 
     def test_file_merge(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"encoder": {"dim": 32},
+        p.write_text(json.dumps({"encoder": {"dim": 36},
                                  "train": {"lr": 3e-4}}))
         cfg = cfgmod.load_config(str(p))
-        assert cfg["encoder"]["dim"] == 32
+        assert cfg["encoder"]["dim"] == 36
         assert cfg["train"]["lr"] == 3e-4
         assert cfg["encoder"]["depth"] == 4  # untouched default
 
@@ -52,14 +53,39 @@ class TestLoadConfig:
 
 class TestTrainConfig:
     def test_from_dict(self):
-        t = cfgmod.train_config(cfgmod.load_config())
-        assert t.epochs == 30 and t.projection_period == 5
+        t = cfgmod.load_config()["train"]
+        assert t["epochs"] == 30 and t["projection_period"] == 5
 
     def test_rejects_bad_values(self):
         with pytest.raises(cfgmod.ConfigError):
-            cfgmod.TrainConfig(projection_period=0)
+            cfgmod.load_config(overrides={"train.projection_period": 0})
         with pytest.raises(cfgmod.ConfigError):
-            cfgmod.TrainConfig(epochs=-1)
+            cfgmod.load_config(overrides={"train.epochs": -1})
+
+
+class TestBounds:
+    """Values of the right type that no run can use fail in load_config,
+    with a message that names the key."""
+
+    @pytest.mark.parametrize("key,val", [
+        ("train.batch_size", 0), ("train.projection_period", 0),
+        ("train.epochs", -1), ("encoder.heads", 5), ("encoder.dim", 0),
+        ("encoder.depth", -1)])
+    def test_rejected_naming_the_key(self, key, val):
+        with pytest.raises(cfgmod.ConfigError, match=re.escape(key)):
+            cfgmod.load_config(overrides={key: val})
+
+    def test_encoder_section_from_file(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"encoder": {"dim": 20, "heads": 3}}))
+        with pytest.raises(cfgmod.ConfigError, match="encoder.heads"):
+            cfgmod.load_config(str(p))
+
+    def test_lowest_values_pass(self):
+        cfg = cfgmod.load_config(overrides={
+            "train.batch_size": 1, "train.projection_period": 1,
+            "train.epochs": 0, "encoder.depth": 0, "encoder.dim": 6})
+        assert cfg["train"]["epochs"] == 0 and cfg["encoder"]["depth"] == 0
 
 
 class TestStrictTypes:

@@ -263,3 +263,26 @@ class TestCheckpointContainer:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(TensorError, match="container"):
             load_arrays(str(p))
+
+    def test_truncated_or_inconsistent(self, tmp_path):
+        arrays = {"a": np.ones((80, 48), np.float32),
+                  "b": np.zeros(3, np.float32)}
+        path = str(tmp_path / "ck.xck")
+        save_arrays(path, arrays, {"m": 1})
+        whole = open(path, "rb").read()
+        p = tmp_path / "cut"
+        p.write_bytes(whole[:-100])           # the end of "a" and all of "b"
+        with pytest.raises(TensorError, match=r"cut: entry 'a'.*truncated"):
+            load_arrays(str(p))
+        p.write_bytes(whole[:20])             # inside the header
+        with pytest.raises(TensorError, match=r"cut: header.*truncated"):
+            load_arrays(str(p))
+        p.write_bytes(whole[:10])             # inside the header length
+        with pytest.raises(TensorError, match="truncated"):
+            load_arrays(str(p))
+        hlen = int.from_bytes(whole[8:12], "little")
+        header = whole[12:12 + hlen].replace(b'"nbytes": 12', b'"nbytes": 16')
+        p.write_bytes(whole[:8] + len(header).to_bytes(4, "little") + header
+                      + whole[12 + hlen:])
+        with pytest.raises(TensorError, match=r"entry 'b' has 16 bytes"):
+            load_arrays(str(p))

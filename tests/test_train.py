@@ -8,6 +8,7 @@ from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.config import load_config
+from xsit.tensor import load_arrays, save_arrays
 
 
 def small_config(**train_over):
@@ -210,3 +211,68 @@ class TestCheckpoint:
         with open(path + ".provenance.json") as f:
             side = json.load(f)
         assert len(side) == model.bank.xi.data.shape[0]
+
+
+class TestCheckpointDefects:
+    """A checkpoint whose arrays or sidecar do not fit its meta fails in
+    load_checkpoint, naming the file and what is wrong."""
+
+    @pytest.fixture
+    def saved(self, tiny_data, tmp_path):
+        manifest, _ = tiny_data
+        path = str(tmp_path / "m.xck")
+        train.save_checkpoint(path, train.init_model(small_config(),
+                                                     manifest))
+        return path
+
+    def rewrite(self, path, edit):
+        arrays, meta = load_arrays(path)
+        edit(arrays)
+        save_arrays(path, arrays, meta)
+
+    def test_missing_array(self, saved):
+        self.rewrite(saved, lambda a: a.pop("block0.mlp.w1"))
+        with pytest.raises(train.TrainError,
+                           match=r"m\.xck: array 'block0\.mlp\.w1': found "
+                                 r"nothing"):
+            train.load_checkpoint(saved)
+
+    def test_wrong_shape(self, saved):
+        def cut(a):
+            a["psp.xi"] = a["psp.xi"][:, :5]
+        self.rewrite(saved, cut)
+        with pytest.raises(train.TrainError,
+                           match=r"m\.xck: array 'psp\.xi': found shape "
+                                 r"\(80, 5\), the model needs shape "
+                                 r"\(80, 16\)"):
+            train.load_checkpoint(saved)
+
+    def test_extra_array(self, saved):
+        self.rewrite(saved, lambda a: a.update(extra=np.zeros(2, np.float32)))
+        with pytest.raises(train.TrainError, match="'extra'.*no such array"):
+            train.load_checkpoint(saved)
+
+    def test_missing_sidecar(self, saved):
+        os.remove(saved + ".provenance.json")
+        with pytest.raises(train.TrainError,
+                           match=r"m\.xck\.provenance\.json: cannot read"):
+            train.load_checkpoint(saved)
+
+    def test_short_sidecar(self, saved):
+        with open(saved + ".provenance.json", "w") as f:
+            json.dump([["s0000", 2]], f)
+        with pytest.raises(train.TrainError,
+                           match="1 provenance entries for 80 prototypes"):
+            train.load_checkpoint(saved)
+
+    def test_malformed_sidecar(self, saved):
+        for bad in ({"a": 1}, [5] * 80, [["s0000"]] * 80):
+            with open(saved + ".provenance.json", "w") as f:
+                json.dump(bad, f)
+            with pytest.raises(train.TrainError, match="subject_id, epoch"):
+                train.load_checkpoint(saved)
+
+    def test_untrained_model_round_trips(self, saved):
+        again = train.load_checkpoint(saved)
+        assert again.bank.provenance == [None] * 80
+        assert again.meta["config"] == small_config()
