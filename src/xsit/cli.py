@@ -109,7 +109,7 @@ def _cmd_explain(args) -> int:
     model = tr.load_checkpoint(args.checkpoint)
     _, splits = surf.load_dataset(os.path.join(args.data, "manifest.json"))
     os.makedirs(args.out, exist_ok=True)
-    mesh = surf.build_icosphere(model.mesh_order)
+    mesh = model.part.mesh
 
     def write_surface(name, per_vertex, scalar_name):
         """One PLY per hemisphere; a single hemisphere gets no suffix."""

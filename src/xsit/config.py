@@ -86,7 +86,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as f:
-            user = json.load(f)
+            try:
+                user = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: not valid JSON ({e})") from e
         if not isinstance(user, dict) or not all(
                 isinstance(v, dict) for v in user.values()):
             raise ConfigError(f"{path}: config must map sections to objects")

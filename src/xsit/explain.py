@@ -40,20 +40,8 @@ def vertex_map(per_patch: np.ndarray, partition: surf.PatchPartition,
     """Scatter patch scalars to vertices, averaging over shared boundaries.
     NaN patch values mark masked regions: a vertex is NaN only if every patch
     claiming it is masked."""
-    v = surf.vertex_count(partition.mesh_order)
-    n = partition.n_patches
-    out = np.zeros(v * hemispheres)
-    counts = np.zeros(v * hemispheres)
-    for i, val in enumerate(per_patch):
-        if not np.isfinite(val):
-            continue
-        hemi, local = divmod(i, n)
-        idx = partition.patch_vertex_indices[local] + hemi * v
-        out[idx] += val
-        counts[idx] += 1
-    with np.errstate(invalid="ignore"):
-        out = np.where(counts > 0, out / np.maximum(counts, 1), np.nan)
-    return out
+    values = np.repeat(per_patch[:, None], partition.patch_size, axis=1)
+    return surf.unpatchify(values, partition, hemispheres)
 
 
 def group_mean_map(samples: list, model: Model,
@@ -88,14 +76,8 @@ def export_prototype_surface(model: Model, train_samples: list,
     part = model.partition()
     w = psp.sparse_weights(model.scaler.logits).data
     by_id = {s.subject_id: s for s in train_samples}
-    v = surf.vertex_count(part.mesh_order)
-    n = part.n_patches
-    v_total = v * model.hemispheres
-    acc = np.zeros(v_total)
-    counts = np.zeros(v_total)
-    for i in range(len(w)):
-        if w[i] <= 0.0:
-            continue
+    values = np.full((len(w), part.patch_size), np.nan)
+    for i in np.nonzero(w > 0.0)[0]:
         prov = model.bank.provenance[i]
         if prov is None:
             raise ExplainError(
@@ -103,13 +85,9 @@ def export_prototype_surface(model: Model, train_samples: list,
         if prov[0] not in by_id:
             raise ExplainError(f"patch {i}: provenance subject "
                                f"'{prov[0]}' not in the provided samples")
-        feats = by_id[prov[0]].features
-        hemi, local = divmod(i, n)
-        idx = part.patch_vertex_indices[local] + hemi * v
-        acc[idx] += feats[idx, channel]
-        counts[idx] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, acc / np.maximum(counts, 1), np.nan)
+        values[i] = surf.patchify(by_id[prov[0]], part,
+                                  model.hemispheres)[i, :, channel]
+    return surf.unpatchify(values, part, model.hemispheres)
 
 
 def prototype_overlap(models: list) -> float:

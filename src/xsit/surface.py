@@ -5,6 +5,12 @@ icosahedron, midpoint subdivision with undirected edges processed in sorted
 (min, max) order, new vertices appended after existing ones, everything
 projected back to the unit sphere. Two builds at the same order produce
 byte-identical vertex buffers.
+
+Subdivision keeps every face's descendants together: the order-d faces
+descended from order-p face f are rows [f*4^(d-p), (f+1)*4^(d-p)). Patch f
+of the order-(d, p) partition is the set of vertices of that block, so the
+partition is read off the order-d mesh, and `patchify`/`unpatchify` are
+the one map between per-vertex and per-patch values.
 """
 
 from __future__ import annotations
@@ -73,6 +79,9 @@ def build_icosphere(order: int) -> IcosphereMesh:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
+    """One midpoint subdivision. Old vertices keep their indices and the 4
+    children of face f are rows 4f..4f+3; `build_partition` relies on
+    both."""
     edges = set()
     for a, b, c in faces:
         edges.add((min(a, b), max(a, b)))
@@ -104,6 +113,8 @@ class PatchPartition:
     mesh_order: int   # d
     patch_order: int  # p
     patch_vertex_indices: np.ndarray  # N x M int64
+    # the order-d mesh it was read off; None if made from indices alone
+    mesh: IcosphereMesh | None = None
 
     @property
     def n_patches(self) -> int:
@@ -120,39 +131,31 @@ def patch_size(mesh_order: int, patch_order: int) -> int:
 
 
 def build_partition(mesh_order: int, patch_order: int) -> PatchPartition:
-    """Assign each order-d vertex to the order-p face(s) whose spherical
-    triangle contains it; boundary vertices land in every adjacent patch so
-    all patches share one fixed size M."""
+    """Patch f is the sorted distinct vertices of the order-d faces that
+    descend from order-p face f, a block of 4^(d-p) consecutive faces.
+    Vertices on a block's boundary land in every adjacent patch, so all
+    patches share one fixed size M."""
     if patch_order > mesh_order:
         raise SurfaceError("patch order must not exceed mesh order")
     if patch_order < 0:
         raise SurfaceError("patch order must be >= 0")
-    fine = build_icosphere(mesh_order)
-    coarse = build_icosphere(patch_order)
+    mesh = build_icosphere(mesh_order)
     m = patch_size(mesh_order, patch_order)
-    tol = 1e-9
-    patches = np.empty((coarse.n_faces, m), dtype=np.int64)
-    pts = fine.vertices
-    for fi, (a, b, c) in enumerate(coarse.faces):
-        va, vb, vc = coarse.vertices[a], coarse.vertices[b], coarse.vertices[c]
-        # central projection onto the face plane, then barycentric test
-        basis = np.stack([va, vb, vc], axis=1)  # 3x3, columns are corners
-        bary = np.linalg.solve(basis, pts.T).T
-        # scale-invariant: a point is inside the spherical triangle iff its
-        # ray hits the planar triangle iff all solved coords are >= 0
-        scale = bary.sum(axis=1, keepdims=True)
-        inside = (scale[:, 0] > 0) & np.all(bary >= -tol * scale, axis=1)
-        idx = np.nonzero(inside)[0]
-        if idx.size != m:
-            raise SurfaceError(
-                f"patch {fi}: expected {m} vertices, found {idx.size}")
-        patches[fi] = idx
-    covered = np.zeros(fine.n_vertices, dtype=bool)
+    blocks = np.sort(mesh.faces.reshape(face_count(patch_order), -1), axis=1)
+    first = np.ones(blocks.shape, dtype=bool)
+    first[:, 1:] = blocks[:, 1:] != blocks[:, :-1]
+    sizes = first.sum(axis=1)
+    if (sizes != m).any():
+        fi = int(np.argmax(sizes != m))
+        raise SurfaceError(
+            f"patch {fi}: expected {m} vertices, found {sizes[fi]}")
+    patches = blocks[first].reshape(-1, m)
+    covered = np.zeros(mesh.n_vertices, dtype=bool)
     covered[patches.reshape(-1)] = True
     if not covered.all():
         raise SurfaceError("partition does not cover all vertices")
     return PatchPartition(mesh_order=mesh_order, patch_order=patch_order,
-                          patch_vertex_indices=patches)
+                          patch_vertex_indices=patches, mesh=mesh)
 
 
 @dataclass
@@ -189,6 +192,14 @@ class DatasetManifest:
                    stats=d["stats"], subjects=d["subjects"])
 
 
+def _vertex_ids(partition: PatchPartition, hemispheres: int) -> np.ndarray:
+    """[H*N, M] indices into the hemisphere-major vertex axis."""
+    v = vertex_count(partition.mesh_order)
+    offsets = np.arange(hemispheres, dtype=np.int64)[:, None, None] * v
+    return (partition.patch_vertex_indices[None] + offsets).reshape(
+        -1, partition.patch_size)
+
+
 def patchify(sample: SurfaceSample, partition: PatchPartition,
              hemispheres: int) -> np.ndarray:
     """Gather per-vertex features into the [H*N, M, F] patch sequence,
@@ -198,11 +209,22 @@ def patchify(sample: SurfaceSample, partition: PatchPartition,
         raise SurfaceError(
             f"sample {sample.subject_id}: {sample.features.shape[0]} vertices, "
             f"expected {v * hemispheres}")
-    out = []
-    for h in range(hemispheres):
-        hemi = sample.features[h * v:(h + 1) * v]
-        out.append(hemi[partition.patch_vertex_indices])
-    return np.concatenate(out, axis=0)
+    return sample.features[_vertex_ids(partition, hemispheres)]
+
+
+def unpatchify(values: np.ndarray, partition: PatchPartition,
+               hemispheres: int) -> np.ndarray:
+    """The inverse of `patchify`: [H*N, M] patch values to the [H*V] mean
+    over the patches that claim each vertex. Rows with a non-finite value
+    are masked; a vertex that no unmasked patch claims is NaN."""
+    ids = _vertex_ids(partition, hemispheres)
+    keep = np.isfinite(values).all(axis=1)
+    total = np.zeros(vertex_count(partition.mesh_order) * hemispheres)
+    counts = np.zeros_like(total)
+    np.add.at(total, ids[keep], values[keep])
+    np.add.at(counts, ids[keep], 1)
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
 
 def save_sample(path: str, features: np.ndarray) -> None:
@@ -223,20 +245,77 @@ def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
     return feats.astype(np.float32)
 
 
+def _is_int(low: int):
+    return lambda v: type(v) is int and v >= low
+
+
+# key -> (test, description) of what a manifest and a checkpoint's meta
+# both record about the data, and of one manifest subject entry.
+_DATASET_FIELDS = {
+    "mesh_order": (_is_int(0), "an integer >= 0"),
+    "patch_order": (_is_int(0), "an integer >= 0"),
+    "hemispheres": (_is_int(1), "an integer >= 1"),
+    "channels": (lambda v: isinstance(v, list) and len(v) > 0
+                 and all(isinstance(c, str) for c in v),
+                 "a nonempty list of names"),
+    "stats": (lambda v: isinstance(v, dict), "an object"),
+}
+_SUBJECT_FIELDS = {
+    "id": (lambda v: isinstance(v, str), "a string"),
+    "label": (lambda v: type(v) is int and v in (0, 1), "0 or 1"),
+    "split": (lambda v: v in ("train", "val", "test"),
+              "one of train, val, test"),
+    "path": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_keys(d, fields: dict, where: str = "") -> None:
+    for key, (ok, what) in fields.items():
+        if not isinstance(d, dict) or key not in d:
+            raise SurfaceError(f"{where}missing key '{key}'")
+        if not ok(d[key]):
+            raise SurfaceError(f"{where}key '{key}' must be {what}, "
+                               f"got {d[key]!r}")
+
+
+def check_dataset_fields(d) -> None:
+    """SurfaceError naming the first of the mesh and patch orders,
+    hemispheres, channel names and per-channel {mean, std} stats that `d`
+    lacks or holds with the wrong type."""
+    _check_keys(d, _DATASET_FIELDS)
+    stats = d["stats"]
+    if sorted(stats) != sorted(d["channels"]) or not all(
+            isinstance(s, dict) and sorted(s) == ["mean", "std"]
+            and all(type(x) in (int, float) for x in s.values())
+            for s in stats.values()):
+        raise SurfaceError("key 'stats' must hold one {mean, std} pair of "
+                           "numbers per channel")
+
+
 def load_dataset(manifest_path: str):
     """Load manifest + all samples, grouped by split. Features are returned
     raw (un-normalized); apply normalize() with the manifest stats."""
-    with open(manifest_path) as f:
-        manifest = DatasetManifest.from_dict(json.load(f))
+    try:
+        with open(manifest_path) as f:
+            d = json.load(f)
+    except json.JSONDecodeError as e:
+        raise SurfaceError(f"{manifest_path}: not valid JSON ({e})") from e
+    try:
+        check_dataset_fields(d)
+        _check_keys(d, {"subjects": (lambda v: isinstance(v, list),
+                                     "a list")})
+        for i, entry in enumerate(d["subjects"]):
+            _check_keys(entry, _SUBJECT_FIELDS, f"subject {i}: ")
+    except SurfaceError as e:
+        raise SurfaceError(f"{manifest_path}: {e}") from e
+    manifest = DatasetManifest.from_dict(d)
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits = {"train": [], "val": [], "test": []}
     for entry in manifest.subjects:
-        if entry["split"] not in splits:
-            raise SurfaceError(f"unknown split '{entry['split']}'")
         feats = load_sample(os.path.join(base, entry["path"]),
                             manifest.vertices_total, len(manifest.channels))
         splits[entry["split"]].append(SurfaceSample(
-            subject_id=entry["id"], label=int(entry["label"]), features=feats))
+            subject_id=entry["id"], label=entry["label"], features=feats))
     return manifest, splits
 
 

@@ -81,22 +81,20 @@ def lesion_vertices(spec: SynthSpec,
     """Vertex indices (per full V_total indexing) covered by the lesion."""
     v = surf.vertex_count(spec.mesh_order)
     idx = set()
-    mesh = surf.build_icosphere(spec.mesh_order) if spec.misaligned_lesion \
-        else None
     n = partition.n_patches
     for patch in spec.lesion_patches:
         hemi, local = divmod(patch, n)
         verts = partition.patch_vertex_indices[local]
         if spec.misaligned_lesion:
-            verts = _shifted_patch(mesh, partition, local)
+            verts = _shifted_patch(partition, local)
         idx.update(int(i) + hemi * v for i in verts)
     return np.array(sorted(idx), dtype=np.int64)
 
 
-def _shifted_patch(mesh: surf.IcosphereMesh, partition: surf.PatchPartition,
-                   patch: int) -> np.ndarray:
+def _shifted_patch(partition: surf.PatchPartition, patch: int) -> np.ndarray:
     """Vertices within the patch's angular radius of a half-patch-offset
     centroid; exercises robustness to lesion/patch misalignment."""
+    mesh = partition.mesh
     own = partition.patch_vertex_indices[patch]
     centroid = mesh.vertices[own].mean(axis=0)
     centroid /= np.linalg.norm(centroid)
@@ -113,8 +111,8 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
     """Write manifest + per-subject raw feature files; returns the manifest
     path. Byte-deterministic given the spec."""
     os.makedirs(out_dir, exist_ok=True)
-    mesh = surf.build_icosphere(spec.mesh_order)
     partition = surf.build_partition(spec.mesh_order, spec.patch_order)
+    mesh = partition.mesh
     v_total = mesh.n_vertices * spec.hemispheres
     baseline = np.tile(_baseline_fields(spec, mesh.vertices),
                        (spec.hemispheres, 1))

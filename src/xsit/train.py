@@ -14,6 +14,7 @@ import numpy as np
 from . import encoder as enc
 from . import psp
 from . import surface as surf
+from .config import DEFAULTS, ConfigError, _checked
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
@@ -105,12 +106,29 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     """The one place a Model is put together: partition, EncoderConfig and
     wrapped arrays, from `meta`. `arrays` maps names to arrays whose names
     and shapes must be the model's, or draws them from the EncoderConfig;
-    `provenance` has one entry per prototype (None: never projected)."""
-    part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
-    n_total = part.n_patches * meta["hemispheres"]
-    ecfg = enc.EncoderConfig(**meta["encoder"], seq_len=n_total,
-                             patch_size=part.patch_size,
-                             channels=len(meta["channels"]))
+    `provenance` has one entry per prototype (None: never projected).
+    Every meta key the Model reads must be present with its type; the
+    config sections go through the config's own checks."""
+    try:
+        surf.check_dataset_fields(meta)
+        for key in DEFAULTS["psp"]:
+            if key not in meta:
+                raise ConfigError(f"missing key '{key}'")
+            _checked("psp", key, meta[key])
+        if not isinstance(meta.get("encoder"), dict):
+            raise ConfigError("key 'encoder' must be an object")
+        encoder = {k: _checked("encoder", k, v)
+                   for k, v in meta["encoder"].items()}
+        for key in DEFAULTS["encoder"]:
+            if key not in encoder:
+                raise ConfigError(f"missing key 'encoder.{key}'")
+        part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
+        n_total = part.n_patches * meta["hemispheres"]
+        ecfg = enc.EncoderConfig(**encoder, seq_len=n_total,
+                                 patch_size=part.patch_size,
+                                 channels=len(meta["channels"]))
+    except ValueError as e:
+        raise TrainError(f"{source}: {e}") from e
     arrays = arrays(ecfg) if callable(arrays) else arrays
     shapes = {k: t.shape for k, t in enc.init_params(ecfg, 0).items()}
     shapes.update({"psp.xi": (n_total, ecfg.dim), "psp.logits": (n_total,)})

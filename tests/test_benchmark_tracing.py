@@ -76,6 +76,8 @@ def test_traced_round_records_every_layer(tmp_path, capsys):
         f"tensor.{op}.fwd" for op in spans.OPS}
     assert expected <= names, sorted(expected - names)
     metrics = spans.layer_metrics(tracer)
-    # one partition per command: gen-data, train, eval and three explains
+    # one partition, and with it one icosphere, per command: gen-data,
+    # train, eval and three explains
     assert metrics["surface.build_partition_calls"][0] == 6
+    assert metrics["surface.build_icosphere_calls"][0] == 6
     assert metrics["train.validation_s"][0] > 0.0

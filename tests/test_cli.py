@@ -127,7 +127,10 @@ class TestCheckpointDefects:
         ("wrong_shape", "array 'psp.xi': found shape (80, 5)"),
         ("missing_sidecar", "cannot read the provenance sidecar"),
         ("short_sidecar", "1 provenance entries for 80 prototypes"),
-        ("truncated", "truncated")])
+        ("truncated", "truncated"),
+        ("no_mesh_order", "missing key 'mesh_order'"),
+        ("no_stats", "missing key 'stats'"),
+        ("encoder_key", "unknown config key 'encoder.width'")])
     def test_error_line_and_exit_1(self, workspace, tmp_path, capsys,
                                    defect, message):
         _, data, run = workspace
@@ -135,12 +138,19 @@ class TestCheckpointDefects:
         side = ckpt + ".provenance.json"
         shutil.copy(os.path.join(run, "model.xck"), ckpt)
         shutil.copy(os.path.join(run, "model.xck.provenance.json"), side)
-        if defect in ("missing_array", "wrong_shape"):
+        if defect in ("missing_array", "wrong_shape", "no_mesh_order",
+                      "no_stats", "encoder_key"):
             arrays, meta = load_arrays(ckpt)
             if defect == "missing_array":
                 del arrays["block0.mlp.w1"]
-            else:
+            elif defect == "wrong_shape":
                 arrays["psp.xi"] = arrays["psp.xi"][:, :5]
+            elif defect == "no_mesh_order":
+                del meta["mesh_order"]
+            elif defect == "no_stats":
+                del meta["stats"]
+            else:
+                meta["encoder"]["width"] = 3
             save_arrays(ckpt, arrays, meta)
         elif defect == "missing_sidecar":
             os.remove(side)
@@ -161,6 +171,23 @@ class TestCheckpointDefects:
             assert rc == 1
             assert err.startswith("error: ") and err.count("\n") == 1
             assert ckpt in err and message in err
+
+
+class TestDatasetDefects:
+    def test_manifest_without_stats(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        manifest = bad / "manifest.json"
+        d = json.loads(manifest.read_text())
+        del d["stats"]
+        manifest.write_text(json.dumps(d))
+        rc = cli.main(["eval", "--checkpoint", os.path.join(run, "model.xck"),
+                       "--data", str(bad), "--split", "test"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{manifest}: missing key 'stats'" in err
 
 
 class TestExplain:

@@ -136,6 +136,13 @@ class TestStrictTypes:
             with pytest.raises(cfgmod.ConfigError, match="sections"):
                 cfgmod.load_config(self.write(tmp_path, bad))
 
+    def test_file_not_json_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"train": {lr: 1}}')
+        with pytest.raises(cfgmod.ConfigError,
+                           match=re.escape(f"{path}: not valid JSON")):
+            cfgmod.load_config(str(path))
+
     def test_file_string_is_not_a_number(self, tmp_path):
         with pytest.raises(cfgmod.ConfigError, match="train.lr"):
             cfgmod.load_config(self.write(tmp_path,

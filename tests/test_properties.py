@@ -1,15 +1,23 @@
 """Property tests: checkpoints and resolved configs survive the trip to
-disk and back unchanged."""
+disk and back unchanged; every partition up to order 4 is the geometric
+one and has its invariants; the decoder keeps its contract."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from test_surface import plane_sign_oracle
+from xsit import psp
 from xsit import surface as surf
 from xsit import train
 from xsit.config import load_config
+from xsit.tensor import Tensor
+
+ORDERS = [(d, p) for d in range(5) for p in range(d + 1)]
 
 
 @st.composite
@@ -88,3 +96,78 @@ def test_resolved_config_round_trip(tmp_path_factory, overrides):
     assert again == cfg
     assert all(type(again[s][k]) is type(cfg[s][k])
                for s in cfg for k in cfg[s])
+
+
+@pytest.mark.parametrize("d,p", ORDERS)
+def test_partition_invariants(d, p):
+    part = surf.build_partition(d, p)
+    pvi = part.patch_vertex_indices
+    assert pvi.tolist() == plane_sign_oracle(d, p)
+    assert (np.diff(pvi, axis=1) > 0).all()
+    valence = np.bincount(pvi.reshape(-1), minlength=surf.vertex_count(d))
+    assert set(np.unique(valence)) <= {1, 2, 5, 6}
+    assert (valence == 5).sum() == 12
+    # the order-p vertices keep their indices and are the patch corners
+    corners = surf.build_icosphere(p).faces
+    assert ((valence == 5) | (valence == 6)).sum() == surf.vertex_count(p)
+    assert all(set(corners[f]) <= set(pvi[f]) for f in range(len(pvi)))
+
+
+def _floats(shape):
+    """Multiples of 1/8 in [-4, 4]: exact in float32, with zeros and ties,
+    and no norm so small that float32 and float64 disagree on it."""
+    return arrays(np.float32, shape,
+                  elements=st.integers(-32, 32).map(lambda k: k / 8))
+
+
+def _cosine(x, xi, rectify):
+    """cos(relu(x), relu(xi)) in float64; 0 where a rectified row is 0."""
+    u = np.maximum(x.astype(np.float64), 0)
+    v = np.maximum(xi, 0) if rectify else xi.astype(np.float64)
+    nu, nv = np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1)
+    valid = (nu > 0) & (nv > 0)
+    return np.where(valid, (u * v).sum(-1) / np.where(valid, nu * nv, 1), 0)
+
+
+@st.composite
+def decoder_states(draw):
+    """(embeddings [B, N, D], prototypes [N, D], logits [N]); prototypes
+    are sometimes copies of the first sample's embeddings, as after a
+    projection."""
+    b, n, d = (draw(st.integers(1, 3)), draw(st.integers(1, 12)),
+               draw(st.integers(1, 8)))
+    x = draw(_floats((b, n, d)))
+    xi = x[0].copy() if draw(st.booleans()) else draw(_floats((n, d)))
+    return x, xi, draw(_floats((n,)))
+
+
+@given(decoder_states(), st.booleans())
+def test_activations_sum_to_probability(state, rectify):
+    x, xi, logits = state
+    bank = psp.PrototypeBank(Tensor(xi))
+    scaler = psp.SparseScaler(Tensor(logits))
+    acts = psp.patch_activations(Tensor(x), bank, scaler, rectify).data
+    prob = psp.class_probability(Tensor(x), bank, scaler, rectify).data
+    w = psp.sparse_weights(Tensor(logits)).data
+    np.testing.assert_allclose(acts, w * _cosine(x, xi, rectify),
+                               rtol=1e-6, atol=1e-6)
+    assert prob.tobytes() == acts.sum(axis=-1).tobytes()
+
+
+@given(decoder_states())
+def test_sparse_weights_simplex(state):
+    _, _, logits = state
+    n = logits.shape[0]
+    w = psp.sparse_weights(Tensor(logits)).data
+    dense = Tensor(logits).softmax(axis=-1).data
+    assert ((w == 0) == (dense < 1.0 / n)).all()
+    assert abs(float(w.sum()) - 1.0) <= 1e-6
+
+
+@given(decoder_states())
+def test_rect_cosine_in_unit_interval(state):
+    x, xi, _ = state
+    cos = psp.rectified_cosine(Tensor(x), Tensor(xi), True).data
+    np.testing.assert_allclose(cos, _cosine(x, xi, True), atol=1e-6)
+    # float32 rounding lets the cosine of a row with itself reach 1 + 2^-23
+    assert (cos >= 0).all() and (cos <= 1 + np.finfo(np.float32).eps).all()

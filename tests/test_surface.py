@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ class TestIcosphere:
             surf.build_icosphere(-1)
 
 
+def plane_sign_oracle(d: int, p: int) -> list:
+    """Per order-p face, the sorted order-d vertices inside its spherical
+    triangle, found independently of the partition: by the sign of each
+    vertex against the plane normals of the triangle's three arcs."""
+    fine = surf.build_icosphere(d)
+    coarse = surf.build_icosphere(p)
+    out = []
+    for a, b, c in coarse.faces:
+        va, vb, vc = (coarse.vertices[a], coarse.vertices[b],
+                      coarse.vertices[c])
+        inside = np.ones(fine.n_vertices, dtype=bool)
+        for u, v in ((va, vb), (vb, vc), (vc, va)):
+            inside &= fine.vertices @ np.cross(u, v) >= -1e-9
+        out.append(np.nonzero(inside)[0].tolist())
+    return out
+
+
 class TestPartition:
     def test_faces_are_patches_when_orders_equal(self):
         part = surf.build_partition(2, 2)
@@ -56,21 +74,12 @@ class TestPartition:
         assert part.patch_size == 15
 
     def test_brute_force_count_oracle(self):
-        # independently count order-d vertices inside each order-p spherical
-        # triangle by checking sign of plane normals of the three arcs
-        d, p = 3, 1
-        fine = surf.build_icosphere(d)
-        coarse = surf.build_icosphere(p)
-        part = surf.build_partition(d, p)
-        for fi in range(coarse.n_faces):
-            a, b, c = coarse.faces[fi]
-            va, vb, vc = (coarse.vertices[a], coarse.vertices[b],
-                          coarse.vertices[c])
-            inside = np.ones(fine.n_vertices, dtype=bool)
-            for u, v in ((va, vb), (vb, vc), (vc, va)):
-                inside &= fine.vertices @ np.cross(u, v) >= -1e-9
-            assert set(np.nonzero(inside)[0]) == set(
-                part.patch_vertex_indices[fi])
+        part = surf.build_partition(3, 1)
+        assert part.patch_vertex_indices.tolist() == plane_sign_oracle(3, 1)
+
+    def test_brute_force_count_oracle_paper_scale(self):
+        part = surf.build_partition(6, 2)
+        assert part.patch_vertex_indices.tolist() == plane_sign_oracle(6, 2)
 
     def test_coverage_and_valence(self):
         part = surf.build_partition(3, 1)
@@ -133,13 +142,29 @@ class TestPatchify:
         v = surf.vertex_count(2)
         field = np.full((v, 1), 2.25, np.float32)
         patches = surf.patchify(surf.SurfaceSample("a", 0, field), part, 1)
-        acc = np.zeros(v)
-        cnt = np.zeros(v)
-        for i in range(part.n_patches):
-            acc[part.patch_vertex_indices[i]] += patches[i, :, 0]
-            cnt[part.patch_vertex_indices[i]] += 1
-        np.testing.assert_array_equal((acc / cnt).astype(np.float32),
-                                      field[:, 0])
+        np.testing.assert_array_equal(
+            surf.unpatchify(patches[:, :, 0], part, 1), field[:, 0])
+
+    def test_unpatchify_inverts_patchify(self):
+        part = surf.build_partition(3, 1)
+        v = surf.vertex_count(3)
+        field = np.random.default_rng(0).normal(size=(2 * v, 2)).astype(
+            np.float32)
+        patches = surf.patchify(surf.SurfaceSample("a", 0, field), part, 2)
+        for c in range(2):
+            assert (surf.unpatchify(patches[:, :, c], part, 2).tobytes()
+                    == field[:, c].astype(np.float64).tobytes())
+
+    def test_unpatchify_masks_non_finite_rows(self):
+        part = surf.build_partition(2, 1)
+        values = np.ones((part.n_patches, part.patch_size))
+        values[0, 3] = np.nan
+        values[1] = np.inf
+        out = surf.unpatchify(values, part, 1)
+        claimed = np.zeros(surf.vertex_count(2), dtype=bool)
+        claimed[part.patch_vertex_indices[2:].reshape(-1)] = True
+        assert (np.isnan(out) == ~claimed).all()
+        assert (out[claimed] == 1.0).all()
 
 
 class TestDatasetIO:
@@ -210,6 +235,34 @@ class TestDatasetIO:
         data["subjects"][0]["split"] = "holdout"
         path.write_text(json.dumps(data))
         with pytest.raises(surf.SurfaceError, match="split"):
+            surf.load_dataset(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("stats"), "missing key 'stats'"),
+        (lambda d: d.pop("mesh_order"), "missing key 'mesh_order'"),
+        (lambda d: d["stats"].pop("curv"),
+         "key 'stats' must hold one {mean, std} pair of numbers per channel"),
+        (lambda d: d.pop("subjects"), "missing key 'subjects'"),
+        (lambda d: d["subjects"][1].pop("label"),
+         "subject 1: missing key 'label'"),
+        (lambda d: d["subjects"][2].update(label="1"),
+         "subject 2: key 'label' must be 0 or 1"),
+        (lambda d: d["subjects"].append(5), "subject 4: missing key 'id'")])
+    def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,
+                                                      message):
+        path, _ = self._write_dataset(tmp_path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(surf.SurfaceError,
+                           match=re.escape(f"{path}: {message}")):
+            surf.load_dataset(str(path))
+
+    def test_manifest_not_json(self, tmp_path):
+        path, _ = self._write_dataset(tmp_path)
+        path.write_text(path.read_text()[:-1])
+        with pytest.raises(surf.SurfaceError,
+                           match=re.escape(f"{path}: not valid JSON")):
             surf.load_dataset(str(path))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,42 @@ class TestCheckpointDefects:
                 json.dump(bad, f)
             with pytest.raises(train.TrainError, match="subject_id, epoch"):
                 train.load_checkpoint(saved)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("mesh_order"), "missing key 'mesh_order'"),
+        (lambda m: m.update(patch_order=1.0),
+         "key 'patch_order' must be an integer >= 0"),
+        (lambda m: m.update(hemispheres=True),
+         "key 'hemispheres' must be an integer >= 1"),
+        (lambda m: m.update(channels="thickness"),
+         "key 'channels' must be a nonempty list of names"),
+        (lambda m: m.pop("stats"), "missing key 'stats'"),
+        (lambda m: m["stats"].pop("thickness"),
+         "key 'stats' must hold one {mean, std} pair of numbers per channel"),
+        (lambda m: m["stats"]["ch1"].update(std="1"),
+         "key 'stats' must hold one {mean, std} pair of numbers per channel"),
+        (lambda m: m.pop("rectify_prototypes"),
+         "missing key 'rectify_prototypes'"),
+        (lambda m: m.update(class_restricted_projection=1),
+         "config key 'psp.class_restricted_projection' needs true or false"),
+        (lambda m: m.pop("encoder"), "key 'encoder' must be an object"),
+        (lambda m: m.update(encoder=[16]), "key 'encoder' must be an object"),
+        (lambda m: m["encoder"].update(width=3),
+         "unknown config key 'encoder.width'"),
+        (lambda m: m["encoder"].pop("heads"), "missing key 'encoder.heads'"),
+        (lambda m: m["encoder"].update(dim="16"),
+         "config key 'encoder.dim' needs an integer"),
+        (lambda m: m["encoder"].update(heads=5),
+         "'encoder.heads' must divide 'encoder.dim'"),
+        (lambda m: m.update(patch_order=3),
+         "patch order must not exceed mesh order")])
+    def test_bad_meta(self, saved, edit, message):
+        arrays, meta = load_arrays(saved)
+        edit(meta)
+        save_arrays(saved, arrays, meta)
+        with pytest.raises(train.TrainError,
+                           match=re.escape(f"m.xck: {message}")):
+            train.load_checkpoint(saved)
 
     def test_untrained_model_round_trips(self, saved):
         again = train.load_checkpoint(saved)
