@@ -18,6 +18,11 @@ from . import encoder as enc
 from . import surface as surf
 from .tensor import Tensor, TensorError
 
+# Samples per inference-mode encoder call. An active prototype is bit-equal
+# to a fresh `encode_samples` of its source subject only when both encode
+# in the same batches, so it is fixed.
+_ENCODE_BATCH = 16
+
 
 @dataclass
 class PrototypeBank:
@@ -35,13 +40,6 @@ class PrototypeBank:
 @dataclass
 class SparseScaler:
     logits: Tensor                 # N_total, learnable
-
-
-def rectified_cosine(x: Tensor, xi: Tensor,
-                     rectify_prototypes: bool = True) -> Tensor:
-    """cos(relu(x), relu(xi)) over the last axis; in [0, 1], zero when either
-    rectified vector vanishes."""
-    return x.rect_cosine(xi, rectify_proto=rectify_prototypes)
 
 
 def sparse_weights(logits: Tensor) -> Tensor:
@@ -63,7 +61,7 @@ def patch_activations(x: Tensor, bank: PrototypeBank,
         raise TensorError(
             f"patch_activations: embeddings {x.shape} vs prototypes "
             f"{bank.xi.shape}")
-    cos = rectified_cosine(x, bank.xi, rectify_prototypes)  # [..., N]
+    cos = x.rect_cosine(bank.xi, rectify_proto=rectify_prototypes)  # [..., N]
     return cos.mul(sparse_weights(scaler.logits))
 
 
@@ -77,8 +75,7 @@ def class_probability(x: Tensor, bank: PrototypeBank,
 def project_prototypes(bank: PrototypeBank, params: dict,
                        config: enc.EncoderConfig, samples: list,
                        partition: surf.PatchPartition, hemispheres: int,
-                       epoch: int, batch_size: int = 16,
-                       rectify_prototypes: bool = True) -> None:
+                       epoch: int, rectify_prototypes: bool = True) -> None:
     """Replace every prototype with the most similar real patch embedding at
     its position, searching the given candidate samples (inference-mode
     encoding) under the decoder's own similarity. Ties go to the
@@ -87,21 +84,22 @@ def project_prototypes(bank: PrototypeBank, params: dict,
         raise TensorError("project_prototypes: empty candidate set")
     ordered = sorted(samples, key=lambda s: s.subject_id)
     embeddings = encode_samples(ordered, params, config, partition,
-                                hemispheres, batch_size)  # C x N x D
-    sim = rectified_cosine(Tensor(embeddings), Tensor(bank.xi.data),
-                           rectify_prototypes).data      # C x N
+                                hemispheres)  # C x N x D
+    sim = Tensor(embeddings).rect_cosine(      # C x N
+        Tensor(bank.xi.data), rectify_proto=rectify_prototypes).data
     best = sim.argmax(axis=0)                            # first max = lowest id
     bank.xi.data = embeddings[best, np.arange(len(best))]
     bank.provenance = [(ordered[b].subject_id, epoch) for b in best]
 
 
 def encode_samples(samples: list, params: dict, config: enc.EncoderConfig,
-                   partition: surf.PatchPartition, hemispheres: int,
-                   batch_size: int = 16) -> np.ndarray:
-    """Inference-mode embeddings for a sample list; returns [S, N_total, D]."""
+                   partition: surf.PatchPartition,
+                   hemispheres: int) -> np.ndarray:
+    """Inference-mode embeddings for a sample list, encoded in batches of
+    _ENCODE_BATCH; returns [S, N_total, D]."""
     out = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), _ENCODE_BATCH):
+        chunk = samples[start:start + _ENCODE_BATCH]
         patches = np.stack([surf.patchify(s, partition, hemispheres)
                             for s in chunk])
         emb = enc.encode(Tensor(patches), params, config, training=False)

@@ -81,31 +81,17 @@ def build_icosphere(order: int) -> IcosphereMesh:
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
     """One midpoint subdivision. Old vertices keep their indices and the 4
     children of face f are rows 4f..4f+3; `build_partition` relies on
-    both."""
-    edges = set()
-    for a, b, c in faces:
-        edges.add((min(a, b), max(a, b)))
-        edges.add((min(b, c), max(b, c)))
-        edges.add((min(c, a), max(c, a)))
-    midpoint_index = {}
-    new_verts = [verts]
-    next_idx = verts.shape[0]
-    for e in sorted(edges):
-        m = verts[e[0]] + verts[e[1]]
-        m = m / np.linalg.norm(m)
-        new_verts.append(m[None, :])
-        midpoint_index[e] = next_idx
-        next_idx += 1
-    verts = np.vstack(new_verts)
-
-    def mid(a, b):
-        return midpoint_index[(min(a, b), max(a, b))]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return verts, np.array(new_faces, dtype=np.int64)
+    both. Midpoints are appended in sorted (min, max) edge order, and each
+    is normalised by the dot-product norm: elementwise forms such as
+    `np.linalg.norm(axis=1)` round some midpoints one ulp differently."""
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(edges, axis=0, return_inverse=True)
+    m = verts[edges[:, 0]] + verts[edges[:, 1]]
+    m = m / np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
+    a, b, c = faces.T
+    ab, bc, ca = (inverse.reshape(-1, 3) + verts.shape[0]).T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.vstack([verts, m]), new_faces.reshape(-1, 3)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -82,10 +81,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise TensorError("item() needs a scalar tensor")
@@ -93,9 +88,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph construction helpers ----------------------------------------
     def _make(self, data, parents, backward, op):
@@ -297,8 +289,10 @@ class Tensor:
         """Cosine similarity of the ReLU-rectified rows (last axis).
 
         Returns 0 where either rectified row has norm below eps ("no
-        evidence"); output lands in [0, 1]. With rectify_proto=False the
-        prototype rows pass through unrectified (output may go negative).
+        evidence"). Output lies in [0, 1 + eps of the dtype]: in float32 a
+        row compared with itself can give 1 + 2^-23. With
+        rectify_proto=False the prototype rows pass through unrectified
+        (output may go negative).
         """
         proto = self._coerce(proto)
         if self.shape[-1] != proto.shape[-1]:
@@ -363,56 +357,35 @@ class Tensor:
 
 # -- AdamW -------------------------------------------------------------------
 
-@dataclass
-class AdamWState:
-    """Per-parameter optimizer state plus hyper-parameters."""
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-2
-
-    @classmethod
-    def for_param(cls, param: Tensor, **hypers) -> "AdamWState":
-        return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data),
-                   **hypers)
-
-
-def adamw_step(param: Tensor, state: AdamWState) -> None:
-    """One AdamW update with decoupled weight decay."""
-    if param.grad is None:
-        raise TensorError("adamw_step: parameter has no gradient")
-    g = param.grad
-    state.step += 1
-    state.m = state.beta1 * state.m + (1 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1 - state.beta2) * g * g
-    mhat = state.m / (1 - state.beta1 ** state.step)
-    vhat = state.v / (1 - state.beta2 ** state.step)
-    update = mhat / (np.sqrt(vhat) + state.eps) + state.weight_decay * param.data
-    param.data = (param.data - state.lr * update).astype(param.data.dtype)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Convenience wrapper driving adamw_step over a named parameter dict."""
+    """AdamW with decoupled weight decay over a named parameter dict. Only
+    matrix-shaped params decay; biases, norm gains and logit vectors are
+    exempt, as is standard for AdamW."""
 
-    def __init__(self, params: dict, lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=1e-2):
+    def __init__(self, params: dict, lr=1e-4, weight_decay=1e-2):
         self.params = params
-        # decay only matrix-shaped params; biases, norm gains, and logit
-        # vectors are exempt, as is standard for AdamW
-        self.states = {
-            name: AdamWState.for_param(
-                p, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                weight_decay=weight_decay if p.data.ndim > 1 else 0.0)
-            for name, p in params.items()
-        }
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
+        self.t += 1
         for name, p in self.params.items():
-            adamw_step(p, self.states[name])
+            if p.grad is None:
+                raise TensorError(f"AdamW: parameter '{name}' has no gradient")
+            g = p.grad
+            self.m[name] = m = _BETA1 * self.m[name] + (1 - _BETA1) * g
+            self.v[name] = v = _BETA2 * self.v[name] + (1 - _BETA2) * g * g
+            mhat = m / (1 - _BETA1 ** self.t)
+            vhat = v / (1 - _BETA2 ** self.t)
+            wd = self.weight_decay if p.data.ndim > 1 else 0.0
+            update = mhat / (np.sqrt(vhat) + _EPS) + wd * p.data
+            p.data = (p.data - self.lr * update).astype(p.data.dtype)
 
     def zero_grad(self):
         for p in self.params.values():

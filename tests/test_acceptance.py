@@ -200,9 +200,8 @@ class TestCriterion3:
             sm = np.exp(logits - logits.max())
             sm /= sm.sum()
             assert np.array_equal(w == 0, sm < 1.0 / n)
-            cos = psp.rectified_cosine(Tensor(x), Tensor(xi)).data
-            scaled = psp.rectified_cosine(Tensor(x * 7.3),
-                                          Tensor(xi * 0.21)).data
+            cos = Tensor(x).rect_cosine(Tensor(xi)).data
+            scaled = Tensor(x * 7.3).rect_cosine(Tensor(xi * 0.21)).data
             assert np.max(np.abs(cos - scaled)) < 1e-5
             recon = (w * cos).sum(axis=1)
             assert np.max(np.abs(recon - p)) < 1e-6

@@ -19,7 +19,7 @@ class TestRectifiedCosine:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 7))
         xi = rng.normal(size=(5, 7))
-        sims = psp.rectified_cosine(Tensor(x), Tensor(xi)).data
+        sims = Tensor(x).rect_cosine(Tensor(xi)).data
         for i in range(5):
             assert sims[i] == pytest.approx(cos_oracle(x[i], xi[i]),
                                             abs=1e-6)
@@ -27,19 +27,19 @@ class TestRectifiedCosine:
     def test_self_similarity_one(self):
         rng = np.random.default_rng(1)
         x = np.abs(rng.normal(size=(4, 6))) + 0.1
-        sims = psp.rectified_cosine(Tensor(x), Tensor(x)).data
+        sims = Tensor(x).rect_cosine(Tensor(x)).data
         np.testing.assert_allclose(sims, 1.0, atol=1e-6)
 
     def test_all_negative_gives_zero(self):
         x = -np.ones((2, 5))
         xi = np.ones((2, 5))
-        sims = psp.rectified_cosine(Tensor(x), Tensor(xi)).data
+        sims = Tensor(x).rect_cosine(Tensor(xi)).data
         np.testing.assert_array_equal(sims, 0.0)
 
     def test_range(self):
         rng = np.random.default_rng(2)
-        sims = psp.rectified_cosine(Tensor(rng.normal(size=(100, 9))),
-                                    Tensor(rng.normal(size=(100, 9)))).data
+        sims = Tensor(rng.normal(size=(100, 9))).rect_cosine(
+            Tensor(rng.normal(size=(100, 9)))).data
         assert np.all(sims >= 0.0) and np.all(sims <= 1.0 + 1e-7)
 
     def test_gradient_fd(self):
@@ -47,16 +47,16 @@ class TestRectifiedCosine:
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True,
                    dtype=np.float64)
         xi = Tensor(rng.normal(size=(3, 6)), dtype=np.float64)
-        psp.rectified_cosine(x, xi).sum().backward()
+        x.rect_cosine(xi).sum().backward()
         grad = x.grad.copy()
         h = 1e-6
         flat = x.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = psp.rectified_cosine(x, xi).sum().item()
+            fp = x.rect_cosine(xi).sum().item()
             flat[i] = orig - h
-            fm = psp.rectified_cosine(x, xi).sum().item()
+            fm = x.rect_cosine(xi).sum().item()
             flat[i] = orig
             fd = (fp - fm) / (2 * h)
             assert grad.reshape(-1)[i] == pytest.approx(fd, abs=1e-6)
@@ -178,8 +178,8 @@ class TestProjection:
                                rectify_prototypes=False)
         ordered = sorted(samples, key=lambda s: s.subject_id)
         emb = psp.encode_samples(ordered, params, cfg, partition, 1)
-        own = psp.rectified_cosine(Tensor(emb), Tensor(xi0), False).data
-        rect = psp.rectified_cosine(Tensor(emb), Tensor(xi0), True).data
+        own = Tensor(emb).rect_cosine(Tensor(xi0), rectify_proto=False).data
+        rect = Tensor(emb).rect_cosine(Tensor(xi0), rectify_proto=True).data
         got = [[s.subject_id for s in ordered].index(p[0])
                for p in bank.provenance]
         np.testing.assert_array_equal(got, own.argmax(axis=0))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,6 +6,25 @@ import numpy as np
 import pytest
 
 from xsit import surface as surf
+
+# sha256 of build_icosphere(o).vertices/.faces bytes, as first built by
+# the per-edge Python subdivision; an ulp drift in a midpoint fails here
+ICOSPHERE_SHA256 = {
+    0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+        "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
+    1: ("b6214d9b748a3436b9cd09382128700d60f34f5401c9b6803a92217a88bde613",
+        "e18185133ba100eae8011078488453e3816a9a6bb41e5c5ed8c35df84b5d34d7"),
+    2: ("64c97fe0bc6370829a19da4239ff043330e33c402b9ce4e640ee432d6bba2377",
+        "7cdb09bc5a6bd5baf09509c7ee299ff2afb6d6396ca5ef1b0cfe97fd259b80fd"),
+    3: ("224c25642fc8554756cce94ac78da23f14e54a23dc68458f2ecf6d4b9391571c",
+        "bea174c5495e180ff23163088090e4d0001a26308bbd8966035b868a7ea1a6f5"),
+    4: ("a6225ea9174b9d9b9d42a369aac58c2e922a97f8e064d9494411c06c601ea88d",
+        "7533425fa1b71c9376e1353c2e6a7f29f4ad80acd094e9a52b7bc1899d336035"),
+    5: ("c5f3b6c7d17744c7b9c9875dc780b036c62a5f74eb24fd5b0c72e35bfb678d8b",
+        "eadfe65f466e95acfdda9f43f935b85c639f55a20f2c6d8054c82515a0318564"),
+    6: ("f5371f70a82e7433e069a147300268f2ba70808d96209f46523ebb675fe2c432",
+        "841afa80ca2a5eeb7947b793fe6f9f8877ff03f87cd40db44b325307be05548d"),
+}
 
 
 class TestIcosphere:
@@ -30,6 +50,13 @@ class TestIcosphere:
         b = surf.build_icosphere(3)
         assert a.vertices.tobytes() == b.vertices.tobytes()
         assert a.faces.tobytes() == b.faces.tobytes()
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_pinned_bytes(self, order):
+        mesh = surf.build_icosphere(order)
+        got = (hashlib.sha256(mesh.vertices.tobytes()).hexdigest(),
+               hashlib.sha256(mesh.faces.tobytes()).hexdigest())
+        assert got == ICOSPHERE_SHA256[order]
 
     def test_ccw_outward(self):
         mesh = surf.build_icosphere(2)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from xsit.tensor import (AdamW, AdamWState, Tensor, TensorError, adamw_step,
-                         load_arrays, save_arrays)
+from xsit.tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
 def fd_grad(fn, t, h=1e-6):
@@ -204,22 +203,21 @@ class TestAdamW:
     def test_zero_grad_zero_decay_no_change(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2, np.float32)
-        st = AdamWState.for_param(p, lr=0.1, weight_decay=0.0)
-        adamw_step(p, st)
+        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
-        assert st.step == 1
+        assert opt.t == 1
 
     def test_first_step_bias_correction(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1, np.float32)
-        st = AdamWState.for_param(p, lr=0.1, weight_decay=0.0)
-        adamw_step(p, st)
+        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
         np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
 
     def test_missing_grad(self):
         p = Tensor(np.ones(1), requires_grad=True)
-        with pytest.raises(TensorError, match="no gradient"):
-            adamw_step(p, AdamWState.for_param(p))
+        with pytest.raises(TensorError, match="'p' has no gradient"):
+            AdamW({"p": p}).step()
 
     def test_quadratic_convergence(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -231,11 +229,16 @@ class TestAdamW:
         assert abs(p.item() - 3.0) < 1e-2
 
     def test_decay_exempts_vectors(self):
-        vec = Tensor(np.ones(3), requires_grad=True)
-        mat = Tensor(np.ones((2, 2)), requires_grad=True)
-        opt = AdamW({"v": vec, "m": mat}, weight_decay=0.5)
-        assert opt.states["v"].weight_decay == 0.0
-        assert opt.states["m"].weight_decay == 0.5
+        """With a zero gradient only the decay moves a parameter: the
+        vector stays, the matrix shrinks by lr*wd*p."""
+        vec = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        mat = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
+        vec0, mat0 = vec.data.copy(), mat.data.copy()
+        vec.grad, mat.grad = np.zeros_like(vec0), np.zeros_like(mat0)
+        AdamW({"v": vec, "m": mat}, lr=0.1, weight_decay=0.5).step()
+        np.testing.assert_array_equal(vec.data, vec0)
+        np.testing.assert_allclose(mat.data, mat0 - 0.1 * 0.5 * mat0,
+                                   rtol=1e-6)
 
 
 class TestCheckpointContainer:
