@@ -8,7 +8,6 @@ embedding is consumed by the decoder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +84,23 @@ def init_params(config: EncoderConfig, seed: int) -> dict:
     return p
 
 
-def _dropout(x: Tensor, p: float, training: bool,
-             rng: np.random.Generator | None) -> Tensor:
+def _keep_mask(shape: tuple, p: float, training: bool,
+               rng: np.random.Generator | None) -> np.ndarray | None:
+    """Boolean dropout keep mask, or None when dropout is off."""
     if not training or p <= 0.0:
-        return x
+        return None
     if rng is None:
         raise TensorError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return x.mul(Tensor(keep, dtype=x.data.dtype))
+    return rng.random(shape) >= p
+
+
+def _dropout(x: Tensor, p: float, training: bool,
+             rng: np.random.Generator | None) -> Tensor:
+    keep = _keep_mask(x.shape, p, training, rng)
+    if keep is None:
+        return x
+    return x.mul(Tensor(keep.astype(x.data.dtype) / (1.0 - p),
+                        dtype=x.data.dtype))
 
 
 def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
@@ -107,10 +115,9 @@ def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
         return y.reshape(b, s, h, dh).transpose((0, 2, 1, 3))  # B,h,S,dh
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = q.matmul(k.transpose((0, 1, 3, 2))).mul(1.0 / math.sqrt(dh))
-    attn = scores.softmax(axis=-1)
-    attn = _dropout(attn, config.dropout, training, rng)
-    ctx = attn.matmul(v).transpose((0, 2, 1, 3)).reshape(b, s, d)
+    keep = _keep_mask((b, h, s, s), config.dropout, training, rng)
+    ctx = q.attention(k, v, keep, config.dropout)
+    ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
     out = ctx.matmul(params[pre + "attn.wo"]).add(params[pre + "attn.bo"])
     return _dropout(out, config.dropout, training, rng)
 

@@ -96,7 +96,9 @@ def encode_samples(samples: list, params: dict, config: enc.EncoderConfig,
                    partition: surf.PatchPartition,
                    hemispheres: int) -> np.ndarray:
     """Inference-mode embeddings for a sample list, encoded in batches of
-    _ENCODE_BATCH; returns [S, N_total, D]."""
+    _ENCODE_BATCH; returns [S, N_total, D]. The parameters enter as
+    constants, so no tape is recorded."""
+    params = {name: Tensor(t.data) for name, t in params.items()}
     out = []
     for start in range(0, len(samples), _ENCODE_BATCH):
         chunk = samples[start:start + _ENCODE_BATCH]

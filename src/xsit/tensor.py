@@ -51,6 +51,22 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _softmax_(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along axis, computed in place in z."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def _softmax_grad_(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient at a softmax's input from the gradient g at its output y,
+    computed in place in g."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
+
+
 class Tensor:
     """Node in the autodiff graph; wraps one numpy array."""
 
@@ -101,8 +117,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad.astype(self.data.dtype, copy=False)
+            # always a copy (add hands one array to both parents), and C
+            # order: np.matmul rounds differently on a transposed layout
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += grad.astype(self.data.dtype, copy=False)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
@@ -116,8 +135,10 @@ class Tensor:
         out = self._make(self.data + other.data, (self, other), None, "add")
 
         def backward(g):
-            self._accum(_reduce_to_shape(g, self.shape))
-            other._accum(_reduce_to_shape(g, other.shape))
+            if self.requires_grad:
+                self._accum(_reduce_to_shape(g, self.shape))
+            if other.requires_grad:
+                other._accum(_reduce_to_shape(g, other.shape))
         out._backward = backward
         return out
 
@@ -127,8 +148,10 @@ class Tensor:
         out = self._make(self.data * other.data, (self, other), None, "mul")
 
         def backward(g):
-            self._accum(_reduce_to_shape(g * other.data, self.shape))
-            other._accum(_reduce_to_shape(g * self.data, other.shape))
+            if self.requires_grad:
+                self._accum(_reduce_to_shape(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accum(_reduce_to_shape(g * self.data, other.shape))
         out._backward = backward
         return out
 
@@ -138,9 +161,11 @@ class Tensor:
         out = self._make(self.data / other.data, (self, other), None, "div")
 
         def backward(g):
-            self._accum(_reduce_to_shape(g / other.data, self.shape))
-            other._accum(_reduce_to_shape(-g * self.data / other.data ** 2,
-                                          other.shape))
+            if self.requires_grad:
+                self._accum(_reduce_to_shape(g / other.data, self.shape))
+            if other.requires_grad:
+                other._accum(_reduce_to_shape(
+                    -g * self.data / other.data ** 2, other.shape))
         out._backward = backward
         return out
 
@@ -180,10 +205,12 @@ class Tensor:
                          (self, other), None, "matmul")
 
         def backward(g):
-            ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
-            gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            self._accum(_reduce_to_shape(ga, self.shape))
-            other._accum(_reduce_to_shape(gb, other.shape))
+            if self.requires_grad:
+                ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
+                self._accum(_reduce_to_shape(ga, self.shape))
+            if other.requires_grad:
+                gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
+                other._accum(_reduce_to_shape(gb, other.shape))
         out._backward = backward
         return out
 
@@ -247,14 +274,55 @@ class Tensor:
 
     # -- fused ops ----------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = _softmax_(np.array(self.data), axis)
         out = self._make(y, (self,), None, "softmax")
+        out._backward = lambda g: self._accum(
+            _softmax_grad_(np.array(g), y, axis))
+        return out
+
+    def attention(self, k: "Tensor", v: "Tensor",
+                  keep: np.ndarray | None = None, p: float = 0.0) -> "Tensor":
+        """softmax(q·kᵀ/√dh)·v for q = self, k, v of shape [..., S, dh], as
+        one node. With a boolean keep mask of the scores' shape the
+        probabilities get inverted dropout at rate p first: kept ones are
+        scaled by 1/(1 − p), the rest zeroed.
+
+        The node keeps the softmax output and the mask, not the scores or
+        the dropped probabilities; its backward recomputes the latter. The
+        arithmetic is that of matmul, a mul by the scale in the dtype,
+        softmax, a mask mul and matmul as separate nodes, so the bytes are
+        theirs.
+        """
+        k, v = self._coerce(k), self._coerce(v)
+        if self.ndim < 2 or k.shape != self.shape or v.shape != self.shape:
+            raise TensorError(f"attention: q, k, v must share one [..., S, "
+                              f"dh] shape, got {self.shape}, {k.shape}, "
+                              f"{v.shape}")
+        dtype = self.data.dtype.type
+        scale = dtype(1.0 / math.sqrt(self.shape[-1]))
+        keep_scale = dtype(1.0) / dtype(1.0 - p)
+        y = np.matmul(self.data, np.swapaxes(k.data, -1, -2))
+        y *= scale
+        y = _softmax_(y, -1)
+
+        def drop(a, dst=None):
+            if keep is None:
+                return a
+            dst = np.multiply(a, keep, out=dst, dtype=a.dtype)
+            dst *= keep_scale
+            return dst
+
+        out = self._make(np.matmul(drop(y), v.data), (self, k, v), None,
+                         "attention")
 
         def backward(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            self._accum((g - dot) * y)
+            v._accum(np.matmul(np.swapaxes(drop(y), -1, -2), g))
+            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            ds = _softmax_grad_(drop(ds, dst=ds), y, -1)
+            ds *= scale
+            self._accum(np.matmul(ds, k.data))
+            k._accum(np.swapaxes(
+                np.matmul(np.swapaxes(self.data, -1, -2), ds), -1, -2))
         out._backward = backward
         return out
 
@@ -374,10 +442,13 @@ class AdamW:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
-        self.t += 1
+        """One update of every parameter. A parameter without a gradient
+        stops the step before anything changes."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise TensorError(f"AdamW: parameter '{name}' has no gradient")
+        self.t += 1
+        for name, p in self.params.items():
             g = p.grad
             self.m[name] = m = _BETA1 * self.m[name] + (1 - _BETA1) * g
             self.v[name] = v = _BETA2 * self.v[name] + (1 - _BETA2) * g * g

@@ -103,6 +103,10 @@ class TestCriterion1:
                    dtype=np.float64)
         g = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True,
                    dtype=np.float64)
+        qkv_rng = np.random.default_rng(1)
+        qa, ka, va = (Tensor(qkv_rng.normal(size=(3, 4)), requires_grad=True,
+                             dtype=np.float64) for _ in range(3))
+        keep = qkv_rng.random((3, 3)) >= 0.25
         ops = [
             (lambda: a.matmul(b).sum(), [a, b]),
             (lambda: a.add(c).mul(c).sum(), [a, c]),
@@ -114,6 +118,8 @@ class TestCriterion1:
              [a, c, g]),
             (lambda: a.mean().mul(3.0), [a]),
             (lambda: a.rect_cosine(c).sum(), [a, c]),
+            (lambda: qa.attention(ka, va, keep, 0.25).mul(c).sum(),
+             [qa, ka, va]),
         ]
         for fn, ts in ops:
             worst = max(worst, fd_check(fn, ts))

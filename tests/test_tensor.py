@@ -97,6 +97,53 @@ class TestSoftmax:
         assert_grad_matches(lambda: (x.softmax(-1) * c).sum(), [x])
 
 
+class TestAttention:
+    @staticmethod
+    def qkv(rng, dtype=np.float64, shape=(2, 2, 5, 3)):
+        return [Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True,
+                       dtype=dtype) for _ in range(3)]
+
+    def test_grad(self):
+        rng = np.random.default_rng(12)
+        q, k, v = self.qkv(rng)
+        c = Tensor(rng.uniform(-1, 1, size=q.shape), dtype=np.float64)
+        assert_grad_matches(lambda: (q.attention(k, v) * c).sum(), [q, k, v])
+
+    def test_grad_with_keep_mask(self):
+        rng = np.random.default_rng(13)
+        q, k, v = self.qkv(rng)
+        keep = rng.random((2, 2, 5, 5)) >= 0.3
+        c = Tensor(rng.uniform(-1, 1, size=q.shape), dtype=np.float64)
+        assert_grad_matches(lambda: (q.attention(k, v, keep, 0.3) * c).sum(),
+                            [q, k, v])
+
+    def test_bytes_of_the_composed_ops(self):
+        """Forward and gradients equal, byte for byte in float32, those of
+        matmul, scale, softmax, dropout mul and matmul as separate nodes."""
+        rng = np.random.default_rng(14)
+        keep = rng.random((2, 2, 5, 5)) >= 0.1
+        c = rng.uniform(-1, 1, size=(2, 2, 5, 3)).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            q, k, v = self.qkv(np.random.default_rng(15), np.float32)
+            if fused:
+                out = q.attention(k, v, keep, 0.1)
+            else:
+                scores = q.matmul(k.transpose((0, 1, 3, 2))).mul(
+                    1.0 / np.sqrt(3.0))
+                mask = Tensor(keep.astype(np.float32) / (1.0 - 0.1))
+                out = scores.softmax(-1).mul(mask).matmul(v)
+            (out * Tensor(c)).sum().backward()
+            results.append([out.data.tobytes()]
+                           + [t.grad.tobytes() for t in (q, k, v)])
+        assert results[0] == results[1]
+
+    def test_shape_mismatch(self):
+        q = Tensor(np.ones((1, 2, 4, 3)))
+        with pytest.raises(TensorError, match="attention"):
+            q.attention(Tensor(np.ones((1, 2, 5, 3))), q)
+
+
 class TestLayernorm:
     def test_constant_slice(self):
         out = Tensor([5.0, 5.0, 5.0]).layernorm(Tensor(np.ones(3)),
@@ -218,6 +265,16 @@ class TestAdamW:
         p = Tensor(np.ones(1), requires_grad=True)
         with pytest.raises(TensorError, match="'p' has no gradient"):
             AdamW({"p": p}).step()
+
+    def test_missing_grad_changes_nothing(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0]), requires_grad=True)
+        a.grad = np.ones(1, np.float32)
+        opt = AdamW({"a": a, "b": b}, lr=0.1)
+        with pytest.raises(TensorError, match="'b' has no gradient"):
+            opt.step()
+        np.testing.assert_array_equal(a.data, [1.0])
+        assert opt.t == 0
 
     def test_quadratic_convergence(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -117,6 +118,22 @@ class TestTrainRun:
         assert h1 == h2
         for k, t in m1.trainable().items():
             assert t.data.tobytes() == m2.trainable()[k].data.tobytes()
+
+    def test_dropout_run_bytes_pinned(self, tiny_data, tmp_path):
+        """A run with dropout on writes these exact bytes, at 1 and 2 BLAS
+        threads. They change if the attention's arithmetic order changes,
+        e.g. the scale folded into q, or if a first gradient keeps a
+        transposed layout."""
+        manifest, samples = tiny_data
+        cfg = small_config()
+        cfg["encoder"]["dropout"] = 0.1
+        train.train_run(cfg, manifest, samples, str(tmp_path))
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   [:16] for f in ("model.xck", "model.xck.provenance.json",
+                                   "metrics.csv")}
+        assert digests == {"model.xck": "8b2ba83d1fcb5704",
+                           "model.xck.provenance.json": "f34ac6915f256904",
+                           "metrics.csv": "a4984c39db996a39"}
 
     def test_seed_changes_outcome(self, tiny_data):
         manifest, samples = tiny_data
