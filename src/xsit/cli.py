@@ -45,7 +45,8 @@ def _parser() -> argparse.ArgumentParser:
     x.add_argument("--mode", required=True,
                    choices=["individual", "group", "prototypes", "overlap"])
     x.add_argument("--out", required=True)
-    x.add_argument("--split", default="test")
+    x.add_argument("--split", default="test",
+                   choices=["train", "val", "test"])
     x.add_argument("--subject", default=None,
                    help="subject id for --mode individual")
     x.add_argument("--channel", type=int, default=0,
@@ -107,6 +108,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_explain(args) -> int:
     model = tr.load_checkpoint(args.checkpoint)
+    n = len(model.channels)
+    if args.mode == "prototypes" and not 0 <= args.channel < n:
+        print(f"error: --channel {args.channel}: the model has {n} "
+              f"channels, 0 to {n - 1}", file=sys.stderr)
+        return 1
     _, splits = surf.load_dataset(os.path.join(args.data, "manifest.json"))
     os.makedirs(args.out, exist_ok=True)
     mesh = model.part.mesh

@@ -83,13 +83,20 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
     children of face f are rows 4f..4f+3; `build_partition` relies on
     both. Midpoints are appended in sorted (min, max) edge order, and each
     is normalised by the dot-product norm: elementwise forms such as
-    `np.linalg.norm(axis=1)` round some midpoints one ulp differently."""
+    `np.linalg.norm(axis=1)` round some midpoints one ulp differently.
+
+    Edge (a, b), a < b < V, is keyed by the one integer a*V + b. Since
+    b < V, the keys sort exactly as the (a, b) rows sort lexicographically,
+    so a 1-D unique over the keys finds the same edges in the same order
+    as a row-wise unique, without its structured-array sort."""
+    n = verts.shape[0]
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(edges, axis=0, return_inverse=True)
-    m = verts[edges[:, 0]] + verts[edges[:, 1]]
+    keys, inverse = np.unique(edges[:, 0] * n + edges[:, 1],
+                              return_inverse=True)
+    m = verts[keys // n] + verts[keys % n]
     m = m / np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
     a, b, c = faces.T
-    ab, bc, ca = (inverse.reshape(-1, 3) + verts.shape[0]).T
+    ab, bc, ca = (inverse.reshape(-1, 3) + n).T
     new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
     return np.vstack([verts, m]), new_faces.reshape(-1, 3)
 
@@ -203,12 +210,13 @@ def unpatchify(values: np.ndarray, partition: PatchPartition,
     """The inverse of `patchify`: [H*N, M] patch values to the [H*V] mean
     over the patches that claim each vertex. Rows with a non-finite value
     are masked; a vertex that no unmasked patch claims is NaN."""
-    ids = _vertex_ids(partition, hemispheres)
     keep = np.isfinite(values).all(axis=1)
-    total = np.zeros(vertex_count(partition.mesh_order) * hemispheres)
-    counts = np.zeros_like(total)
-    np.add.at(total, ids[keep], values[keep])
-    np.add.at(counts, ids[keep], 1)
+    ids = _vertex_ids(partition, hemispheres)[keep].reshape(-1)
+    n = vertex_count(partition.mesh_order) * hemispheres
+    # bincount adds the weights in float64 in input order, as a sequential
+    # np.add.at into float64 zeros does, so the sums are the same bits
+    total = np.bincount(ids, weights=values[keep].reshape(-1), minlength=n)
+    counts = np.bincount(ids, minlength=n)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
@@ -330,25 +338,28 @@ def compute_stats(samples, channels: list) -> dict:
 def write_ply(path: str, mesh: IcosphereMesh,
               scalar: np.ndarray | None = None,
               scalar_name: str = "value") -> None:
-    """ASCII PLY with optional per-vertex scalar; NaN marks masked vertices."""
+    """ASCII PLY with optional per-vertex scalar; NaN marks masked vertices.
+    Each block is formatted by one `%` over a repeated row format; a
+    non-finite scalar is written as NaN, which `%.8f` prints as `nan`."""
     lines = ["ply", "format ascii 1.0",
              f"element vertex {mesh.n_vertices}",
              "property float x", "property float y", "property float z"]
+    rows = mesh.vertices
     if scalar is not None:
         if scalar.shape[0] != mesh.n_vertices:
             raise SurfaceError("scalar length must match vertex count")
         lines.append(f"property float {scalar_name}")
+        column = np.asarray(scalar, dtype=np.float64)
+        rows = np.column_stack(
+            [rows, np.where(np.isfinite(column), column, np.nan)])
     lines += [f"element face {mesh.n_faces}",
               "property list uchar int vertex_indices", "end_header"]
-    for i, v in enumerate(mesh.vertices):
-        row = f"{v[0]:.8f} {v[1]:.8f} {v[2]:.8f}"
-        if scalar is not None:
-            row += f" {float(scalar[i]):.8f}" if np.isfinite(scalar[i]) \
-                else " nan"
-        lines.append(row)
-    for f in mesh.faces:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    row = " ".join(["%.8f"] * rows.shape[1]) + "\n"
+    vertex_block = (row * mesh.n_vertices) % tuple(rows.ravel().tolist())
+    face_block = ("3 %d %d %d\n" * mesh.n_faces) % tuple(
+        mesh.faces.ravel().tolist())
+    text = "\n".join(lines) + "\n" + vertex_block + face_block
+    _atomic_write(path, text.encode())
 
 
 def _atomic_write(path: str, data: bytes) -> None:

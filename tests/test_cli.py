@@ -240,6 +240,47 @@ class TestExplain:
                        "--out", str(tmp_path / "nx")])
         assert rc == 1
 
+    def test_single_subject_bytes_match_split_run(self, workspace, tmp_path):
+        _, data, run = workspace
+        ckpt = os.path.join(run, "model.xck")
+        every, one = tmp_path / "every", tmp_path / "one"
+        assert cli.main(["explain", "--checkpoint", ckpt, "--data", data,
+                         "--mode", "individual", "--split", "test",
+                         "--out", str(every)]) == 0
+        assert cli.main(["explain", "--checkpoint", ckpt, "--data", data,
+                         "--mode", "individual", "--subject", "s0027",
+                         "--out", str(one)]) == 0
+        names = sorted(os.listdir(one))
+        assert names == ["activation_s0027.csv", "activation_s0027.ply"]
+        for name in names:
+            assert (one / name).read_bytes() == (every / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["individual", "group"])
+    def test_unknown_split(self, workspace, tmp_path, capsys, mode):
+        _, data, run = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["explain", "--checkpoint",
+                      os.path.join(run, "model.xck"), "--data", data,
+                      "--mode", mode, "--split", "tset",
+                      "--out", str(tmp_path / "sx")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'tset'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel", ["5", "2", "-1"])
+    def test_channel_out_of_range(self, workspace, tmp_path, capsys,
+                                  channel):
+        _, data, run = workspace
+        out = tmp_path / "cx"
+        rc = cli.main(["explain", "--checkpoint",
+                       os.path.join(run, "model.xck"), "--data", data,
+                       "--mode", "prototypes", "--channel", channel,
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --channel {channel}: the model has 2 "
+                       "channels, 0 to 1\n")
+        assert not out.exists()
+
 
 class TestMesh:
     def test_writes_ply(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests: checkpoints and resolved configs survive the trip to
 disk and back unchanged; every partition up to order 4 is the geometric
-one and has its invariants; the decoder keeps its contract."""
+one and has its invariants; scattering patches back to vertices gives the
+bits of a sequential sum; the decoder keeps its contract."""
 
 import json
 
@@ -111,6 +112,40 @@ def test_partition_invariants(d, p):
     corners = surf.build_icosphere(p).faces
     assert ((valence == 5) | (valence == 6)).sum() == surf.vertex_count(p)
     assert all(set(corners[f]) <= set(pvi[f]) for f in range(len(pvi)))
+
+
+@st.composite
+def patch_values(draw):
+    """(partition, hemispheres, [H*N, M] values) on a small partition, in
+    float32 or float64, with random rows holding a NaN or an infinity."""
+    d = draw(st.integers(0, 3))
+    part = surf.build_partition(d, draw(st.integers(0, d)))
+    hemispheres = draw(st.integers(1, 2))
+    rows = hemispheres * part.n_patches
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(
+        size=(rows, part.patch_size)).astype(dtype)
+    masked = draw(st.lists(st.integers(0, rows - 1), max_size=rows))
+    values[masked, draw(st.integers(0, part.patch_size - 1))] = draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    return part, hemispheres, values
+
+
+@given(patch_values())
+def test_unpatchify_is_a_sequential_sum(case):
+    part, hemispheres, values = case
+    v = surf.vertex_count(part.mesh_order)
+    ids = (part.patch_vertex_indices[None]
+           + v * np.arange(hemispheres)[:, None, None]).reshape(
+               -1, part.patch_size)
+    keep = np.isfinite(values).all(axis=1)
+    total, counts = np.zeros(hemispheres * v), np.zeros(hemispheres * v)
+    np.add.at(total, ids[keep], values[keep])
+    np.add.at(counts, ids[keep], 1)
+    with np.errstate(invalid="ignore"):
+        want = np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
+    assert surf.unpatchify(values, part, hemispheres).tobytes() == \
+        want.tobytes()
 
 
 def _floats(shape):

@@ -26,6 +26,14 @@ ICOSPHERE_SHA256 = {
         "841afa80ca2a5eeb7947b793fe6f9f8877ff03f87cd40db44b325307be05548d"),
 }
 
+# sha256 of write_ply(build_icosphere(3)) without and with a scalar (see
+# TestPly.test_pinned_bytes), as first written one f-string per row
+PLY_SHA256 = {
+    "none": "511cae7977e3ab14f52115a86bdd676efe488ebe8a2804e209ecae36fca28545",
+    "scalar":
+        "21392d8ff808a26975dedf20c0288237baed60feeebfce4c4d375c78edd1eddc",
+}
+
 
 class TestIcosphere:
     @pytest.mark.parametrize("order,nv,nf", [(0, 12, 20), (1, 42, 80),
@@ -312,3 +320,15 @@ class TestPly:
         surf.write_ply(str(p), mesh, scalar=scalar)
         body = p.read_text()
         assert body.count(" nan") == 11
+
+    @pytest.mark.parametrize("case", ["none", "scalar"])
+    def test_pinned_bytes(self, tmp_path, case):
+        mesh = surf.build_icosphere(3)
+        scalar = None
+        if case == "scalar":  # float32, with NaN, +inf, -inf and -0.0
+            scalar = np.random.default_rng(7).normal(
+                size=mesh.n_vertices).astype(np.float32)
+            scalar[[0, 1, 2, 3]] = [np.nan, np.inf, -np.inf, -0.0]
+        p = tmp_path / "m.ply"
+        surf.write_ply(str(p), mesh, scalar=scalar)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == PLY_SHA256[case]
