@@ -72,7 +72,11 @@ def _parse_overrides(pairs):
 
 def _cmd_gen_data(args) -> int:
     with open(args.spec) as f:
-        spec = synth.SynthSpec.from_json(f.read())
+        text = f.read()
+    try:
+        spec = synth.SynthSpec.from_json(text)
+    except ValueError as e:
+        raise ValueError(f"{args.spec}: {e}") from e
     manifest = synth.generate(spec, args.out)
     print(f"wrote {manifest}")
     return 0

@@ -38,7 +38,7 @@ DEFAULTS = {
     },
 }
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
 # Ranges beyond the type: (test, description) per key.
 _RANGES = {
@@ -55,23 +55,26 @@ class ConfigError(ValueError):
     pass
 
 
+def has_type(kind: type, val) -> bool:
+    """The type rule of every JSON setting: bools are JSON true/false only,
+    ints take no fractional part, floats take ints."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind is bool:
+        return isinstance(val, bool)
+    if kind is int:
+        return number and (isinstance(val, int) or val.is_integer())
+    return number
+
+
 def _checked(section: str, key: str, val):
-    """`val` as the type of the key's default, or ConfigError. Bools are
-    JSON true/false only, ints take no fractional part, floats take ints."""
+    """`val` as the type of the key's default, or ConfigError."""
     dotted = f"{section}.{key}"
     if section not in DEFAULTS or key not in DEFAULTS[section]:
         raise ConfigError(f"unknown config key '{dotted}'")
     kind = type(DEFAULTS[section][key])
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if kind is bool:
-        ok = isinstance(val, bool)
-    elif kind is int:
-        ok = number and (isinstance(val, int) or val.is_integer())
-    else:
-        ok = number
-    if not ok:
+    if not has_type(kind, val):
         raise ConfigError(f"config key '{dotted}' needs "
-                          f"{_TYPE_NAMES[kind]}, got {val!r}")
+                          f"{TYPE_NAMES[kind]}, got {val!r}")
     val = kind(val)
     if dotted in _RANGES and not _RANGES[dotted][0](val):
         raise ConfigError(f"config key '{dotted}' must be "

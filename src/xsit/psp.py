@@ -97,7 +97,8 @@ def encode_samples(samples: list, params: dict, config: enc.EncoderConfig,
                    hemispheres: int) -> np.ndarray:
     """Inference-mode embeddings for a sample list, encoded in batches of
     _ENCODE_BATCH; returns [S, N_total, D]. The parameters enter as
-    constants, so no tape is recorded."""
+    constants, so no tape is recorded: no node keeps its inputs, and each
+    batch's intermediate arrays are freed as the pass goes."""
     params = {name: Tensor(t.data) for name, t in params.items()}
     out = []
     for start in range(0, len(samples), _ENCODE_BATCH):

@@ -363,12 +363,19 @@ def write_ply(path: str, mesh: IcosphereMesh,
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
+    """The one way the program writes a file: through a temporary file in
+    the same directory, so a reader sees the old file or the new one, never
+    a part. An OSError names `path`, not the temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)

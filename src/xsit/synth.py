@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import surface as surf
+from .config import TYPE_NAMES, has_type
 
 
 @dataclass
@@ -38,6 +39,12 @@ class SynthSpec:
 
     def __post_init__(self):
         n_total = surf.face_count(self.patch_order) * self.hemispheres
+        if self.channels < 1:
+            raise ValueError("key 'channels' must be >= 1")
+        if self.noise_sigma < 0:
+            raise ValueError("key 'noise_sigma' must be >= 0")
+        if not 0 <= self.positive_fraction <= 1:
+            raise ValueError("key 'positive_fraction' must be in [0, 1]")
         if not self.lesion_patches:
             raise ValueError("lesion patch set must be nonempty")
         if any(i < 0 or i >= n_total for i in self.lesion_patches):
@@ -50,7 +57,48 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        return cls(**json.loads(text))
+        """The spec a JSON object gives. Each key must have its default's
+        type by the config's rule (a float key also takes an integer):
+        lesion_patches a list of integers, counts one integer for each of
+        train, val and test. A ValueError names the first key that does
+        not."""
+        try:
+            d = json.loads(text)
+        except ValueError as e:
+            raise ValueError(f"not valid JSON ({e})") from e
+        if not isinstance(d, dict):
+            raise ValueError("a spec must be a JSON object")
+        defaults = asdict(cls())
+        spec = {}
+        for key, val in d.items():
+            if key not in defaults:
+                raise ValueError(f"unknown key '{key}'")
+            want = defaults[key]
+            if isinstance(want, list):
+                if not isinstance(val, list):
+                    raise ValueError(f"key '{key}' needs a list, got {val!r}")
+                val = [_typed(f"{key}[{i}]", int, v)
+                       for i, v in enumerate(val)]
+            elif isinstance(want, dict):
+                if not isinstance(val, dict) or val.keys() != want.keys():
+                    raise ValueError(f"key '{key}' needs one integer for "
+                                     f"each of {', '.join(want)}, got "
+                                     f"{val!r}")
+                val = {k: _typed(f"{key}.{k}", int, v)
+                       for k, v in val.items()}
+            else:
+                val = _typed(key, type(want), val)
+            spec[key] = val
+        return cls(**spec)
+
+
+def _typed(name: str, kind: type, val):
+    """`val` if it has type `kind` by the config's rule, an integral float
+    made an int; else a ValueError naming the key."""
+    if not has_type(kind, val):
+        raise ValueError(f"key '{name}' needs {TYPE_NAMES[kind]}, got "
+                         f"{val!r}")
+    return int(val) if kind is int else val
 
 
 def lesion_ground_truth(spec: SynthSpec) -> np.ndarray:

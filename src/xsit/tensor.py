@@ -2,8 +2,9 @@
 
 Forward values live in numpy arrays (float32 by default; float64 supported so
 tests can run a high-precision shadow of the same graph). The graph is a
-dynamic tape: every op records its parents and a closure that pushes the
-output gradient back to them. Broadcasting is restricted to leading batch
+dynamic tape: an op with a gradient-requiring operand records its parents and
+a closure that pushes the output gradient back to them; any other op's output
+is a constant that keeps neither. Broadcasting is restricted to leading batch
 dimensions -- a smaller operand must match the trailing shape of the larger
 one exactly.
 """
@@ -12,11 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 from scipy.special import erf
+
+from .surface import SurfaceError, _atomic_write, _check_keys
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -107,6 +108,9 @@ class Tensor:
 
     # -- graph construction helpers ----------------------------------------
     def _make(self, data, parents, backward, op):
+        """The node for one op's output: on the tape with its parents and
+        backward closure if a parent requires a gradient, else a constant
+        that holds neither, so an inference pass frees each step's inputs."""
         data = _check_finite(np.asarray(data), op)
         rg = any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=rg, dtype=data.dtype,
@@ -132,33 +136,28 @@ class Tensor:
     def add(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "add")
-        out = self._make(self.data + other.data, (self, other), None, "add")
 
         def backward(g):
             if self.requires_grad:
                 self._accum(_reduce_to_shape(g, self.shape))
             if other.requires_grad:
                 other._accum(_reduce_to_shape(g, other.shape))
-        out._backward = backward
-        return out
+        return self._make(self.data + other.data, (self, other), backward, "add")
 
     def mul(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "mul")
-        out = self._make(self.data * other.data, (self, other), None, "mul")
 
         def backward(g):
             if self.requires_grad:
                 self._accum(_reduce_to_shape(g * other.data, self.shape))
             if other.requires_grad:
                 other._accum(_reduce_to_shape(g * self.data, other.shape))
-        out._backward = backward
-        return out
+        return self._make(self.data * other.data, (self, other), backward, "mul")
 
     def div(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "div")
-        out = self._make(self.data / other.data, (self, other), None, "div")
 
         def backward(g):
             if self.requires_grad:
@@ -166,13 +165,10 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_reduce_to_shape(
                     -g * self.data / other.data ** 2, other.shape))
-        out._backward = backward
-        return out
+        return self._make(self.data / other.data, (self, other), backward, "div")
 
     def neg(self) -> "Tensor":
-        out = self._make(-self.data, (self,), None, "neg")
-        out._backward = lambda g: self._accum(-g)
-        return out
+        return self._make(-self.data, (self,), lambda g: self._accum(-g), "neg")
 
     def sub(self, other) -> "Tensor":
         return self.add(self._coerce(other).neg())
@@ -201,8 +197,6 @@ class Tensor:
                 f"matmul inner dims differ: {self.shape} x {other.shape}")
         if self.ndim != other.ndim:
             _leading_broadcast_shape(self.shape[:-2], other.shape[:-2], "matmul")
-        out = self._make(np.matmul(self.data, other.data),
-                         (self, other), None, "matmul")
 
         def backward(g):
             if self.requires_grad:
@@ -211,8 +205,8 @@ class Tensor:
             if other.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 other._accum(_reduce_to_shape(gb, other.shape))
-        out._backward = backward
-        return out
+        return self._make(np.matmul(self.data, other.data), (self, other),
+                          backward, "matmul")
 
     __matmul__ = matmul
 
@@ -220,37 +214,30 @@ class Tensor:
     def gelu(self) -> "Tensor":
         x = self.data
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        out = self._make(x * cdf, (self,), None, "gelu")
 
         def backward(g):
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
             self._accum(g * (cdf + x * pdf))
-        out._backward = backward
-        return out
+        return self._make(x * cdf, (self,), backward, "gelu")
 
     def log(self) -> "Tensor":
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = self._make(np.log(self.data), (self,), None, "log")
-        out._backward = lambda g: self._accum(g / self.data)
-        return out
+            return self._make(np.log(self.data), (self,),
+                              lambda g: self._accum(g / self.data), "log")
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
-        out = self._make(np.clip(self.data, lo, hi), (self,), None, "clamp")
         inside = (self.data >= lo) & (self.data <= hi)
-        out._backward = lambda g: self._accum(g * inside)
-        return out
+        return self._make(np.clip(self.data, lo, hi), (self,),
+                          lambda g: self._accum(g * inside), "clamp")
 
     # -- reductions ---------------------------------------------------------
     def sum(self, axis=None, keepdims=False) -> "Tensor":
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims),
-                         (self,), None, "sum")
-
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.shape).copy())
-        out._backward = backward
-        return out
+        return self._make(self.data.sum(axis=axis, keepdims=keepdims),
+                          (self,), backward, "sum")
 
     def mean(self, axis=None, keepdims=False) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
@@ -260,25 +247,22 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,), None, "reshape")
-        out._backward = lambda g: self._accum(g.reshape(self.shape))
-        return out
+        return self._make(self.data.reshape(shape), (self,),
+                          lambda g: self._accum(g.reshape(self.shape)),
+                          "reshape")
 
     def transpose(self, axes) -> "Tensor":
         axes = tuple(axes)
-        out = self._make(np.transpose(self.data, axes), (self,), None,
-                         "transpose")
         inv = tuple(np.argsort(axes))
-        out._backward = lambda g: self._accum(np.transpose(g, inv))
-        return out
+        return self._make(np.transpose(self.data, axes), (self,),
+                          lambda g: self._accum(np.transpose(g, inv)),
+                          "transpose")
 
     # -- fused ops ----------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
         y = _softmax_(np.array(self.data), axis)
-        out = self._make(y, (self,), None, "softmax")
-        out._backward = lambda g: self._accum(
-            _softmax_grad_(np.array(g), y, axis))
-        return out
+        return self._make(y, (self,), lambda g: self._accum(
+            _softmax_grad_(np.array(g), y, axis)), "softmax")
 
     def attention(self, k: "Tensor", v: "Tensor",
                   keep: np.ndarray | None = None, p: float = 0.0) -> "Tensor":
@@ -312,9 +296,6 @@ class Tensor:
             dst *= keep_scale
             return dst
 
-        out = self._make(np.matmul(drop(y), v.data), (self, k, v), None,
-                         "attention")
-
         def backward(g):
             v._accum(np.matmul(np.swapaxes(drop(y), -1, -2), g))
             ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
@@ -323,8 +304,8 @@ class Tensor:
             self._accum(np.matmul(ds, k.data))
             k._accum(np.swapaxes(
                 np.matmul(np.swapaxes(self.data, -1, -2), ds), -1, -2))
-        out._backward = backward
-        return out
+        return self._make(np.matmul(drop(y), v.data), (self, k, v), backward,
+                          "attention")
 
     def layernorm(self, gain: "Tensor", bias: "Tensor",
                   eps: float = 1e-5) -> "Tensor":
@@ -337,8 +318,6 @@ class Tensor:
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (x - mu) * inv
-        out = self._make(gain.data * xhat + bias.data, (self, gain, bias),
-                         None, "layernorm")
         n = self.shape[-1]
 
         def backward(g):
@@ -349,8 +328,8 @@ class Tensor:
                             - dxhat.sum(axis=-1, keepdims=True)
                             - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
             self._accum(dx)
-        out._backward = backward
-        return out
+        return self._make(gain.data * xhat + bias.data, (self, gain, bias),
+                          backward, "layernorm")
 
     def rect_cosine(self, proto: "Tensor", eps: float = 1e-8,
                     rectify_proto: bool = True) -> "Tensor":
@@ -375,7 +354,6 @@ class Tensor:
         denom = np.where(valid, nu * nv, 1.0)
         dot = (u * v).sum(axis=-1)
         c = np.where(valid, dot / denom, 0.0)
-        out = self._make(c, (self, proto), None, "rect_cosine")
 
         def backward(g):
             # d cos/du = v/(nu nv) - cos * u/nu^2, chained through the ReLU
@@ -390,8 +368,7 @@ class Tensor:
             vmask = (proto.data > 0) if rectify_proto else \
                 np.ones_like(proto.data, dtype=bool)
             proto._accum(_reduce_to_shape(dv * vmask, proto.shape))
-        out._backward = backward
-        return out
+        return self._make(c, (self, proto), backward, "rect_cosine")
 
     # -- reverse pass -------------------------------------------------------
     def backward(self) -> int:
@@ -465,10 +442,24 @@ class AdamW:
 
 # -- checkpoint container ----------------------------------------------------
 # Layout: 8-byte magic, uint32 little-endian header length, JSON header,
-# then raw little-endian payloads. The header maps each array name to
-# shape/dtype/offset/nbytes and carries a free-form "meta" dict.
+# then raw little-endian float32 payloads. The header maps each array name
+# to shape/dtype/offset/nbytes and carries a free-form "meta" dict.
 
 _MAGIC = b"XSCKPT01"
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+# key -> (test, description) of one array entry of the header
+_ENTRY_FIELDS = {
+    "dtype": (lambda v: v == "float32", "'float32'"),
+    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+              "a list of integers >= 0"),
+    "offset": (_is_count, "an integer >= 0"),
+    "nbytes": (_is_count, "an integer >= 0"),
+}
 
 
 def save_arrays(path: str, arrays: dict, meta: dict | None = None) -> None:
@@ -476,34 +467,22 @@ def save_arrays(path: str, arrays: dict, meta: dict | None = None) -> None:
     payloads = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype == np.float64:
-            arr = arr.astype(np.float32)
-        raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        entries[name] = {"shape": list(arr.shape), "dtype": str(arr.dtype),
-                         "offset": offset, "nbytes": len(raw)}
+        raw = np.ascontiguousarray(arrays[name], dtype="<f4").tobytes()
+        entries[name] = {"shape": list(np.shape(arrays[name])),
+                         "dtype": "float32", "offset": offset,
+                         "nbytes": len(raw)}
         payloads.append(raw)
         offset += len(raw)
     header = json.dumps({"meta": meta or {}, "arrays": entries},
                         sort_keys=True).encode()
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(_MAGIC)
-            f.write(np.array(len(header), dtype="<u4").tobytes())
-            f.write(header)
-            for raw in payloads:
-                f.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _atomic_write(path, b"".join(
+        [_MAGIC, len(header).to_bytes(4, "little"), header, *payloads]))
 
 
 def load_arrays(path: str):
-    """Returns (arrays: dict[str, np.ndarray], meta: dict). A header or an
-    entry that does not fit the file is a TensorError naming both."""
+    """Returns (arrays: dict[str, np.ndarray], meta: dict). A header, an
+    entry or an array that save_arrays would not have written, or that
+    does not fit the file, is a TensorError naming the file and the key."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise TensorError(f"{path}: not a checkpoint container")
@@ -515,17 +494,30 @@ def load_arrays(path: str):
         header = json.loads(blob[4:4 + hlen])
     except ValueError as e:
         raise TensorError(f"{path}: corrupt header ({e})") from e
+    if not isinstance(header, dict):
+        raise TensorError(f"{path}: header must be an object, got "
+                          f"{type(header).__name__}")
+    for key in ("meta", "arrays"):
+        if not isinstance(header.get(key), dict):
+            raise TensorError(f"{path}: header key '{key}' must hold an "
+                              f"object")
     payload = memoryview(blob)[4 + hlen:]
     arrays = {}
     for name, ent in header["arrays"].items():
-        dtype, start = np.dtype(ent["dtype"]), ent["offset"]
-        end = start + ent["nbytes"]
-        if ent["nbytes"] != math.prod(ent["shape"]) * dtype.itemsize:
+        try:
+            _check_keys(ent, _ENTRY_FIELDS, f"entry '{name}': ")
+        except SurfaceError as e:
+            raise TensorError(f"{path}: {e}") from e
+        start, end = ent["offset"], ent["offset"] + ent["nbytes"]
+        if ent["nbytes"] != math.prod(ent["shape"]) * 4:
             raise TensorError(f"{path}: entry '{name}' has {ent['nbytes']} "
-                              f"bytes for shape {ent['shape']} of {dtype}")
-        if not 0 <= start <= end <= len(payload):
+                              f"bytes for shape {ent['shape']} of float32")
+        if end > len(payload):
             raise TensorError(f"{path}: entry '{name}' ends at payload byte "
                               f"{end} of {len(payload)}, file truncated")
-        arrays[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(
-            ent["shape"]).copy()
+        arr = np.frombuffer(payload[start:end], dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise TensorError(f"{path}: entry '{name}' holds non-finite "
+                              f"values")
+        arrays[name] = arr.reshape(ent["shape"]).copy()
     return arrays, header["meta"]

@@ -281,8 +281,8 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.xck"), model)
         write_history_csv(os.path.join(out_dir, "metrics.csv"), history)
-        with open(os.path.join(out_dir, "config.resolved.json"), "w") as f:
-            json.dump(cfg, f, indent=2, sort_keys=True)
+        surf._atomic_write(os.path.join(out_dir, "config.resolved.json"),
+                           json.dumps(cfg, indent=2, sort_keys=True).encode())
     return model, history
 
 

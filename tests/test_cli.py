@@ -41,6 +41,50 @@ class TestGenData:
         assert os.path.exists(os.path.join(data, "manifest.json"))
         assert os.path.exists(os.path.join(data, "synth_spec.json"))
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"mesh_orde": 2}', "unknown key 'mesh_orde'"),
+        ('{"counts": {"train": 4, "test": 1}}',
+         "key 'counts' needs one integer for each of train, val, test"),
+        ('{"counts": {"train": 4, "val": 2, "test": 1, "tset": 1}}',
+         "key 'counts' needs one integer for each of train, val, test"),
+        ('{"counts": {"train": 4, "val": 2.5, "test": 1}}',
+         "key 'counts.val' needs an integer, got 2.5"),
+        ('{"mesh_order": "2"}', "key 'mesh_order' needs an integer, got '2'"),
+        ('{"misaligned_lesion": 1}',
+         "key 'misaligned_lesion' needs true or false, got 1"),
+        ('{"delta": "3"}', "key 'delta' needs a number, got '3'"),
+        ('{"lesion_patches": 3}', "key 'lesion_patches' needs a list"),
+        ('{"lesion_patches": [3, 1.5]}',
+         "key 'lesion_patches[1]' needs an integer, got 1.5"),
+        ('{"channels": 0}', "key 'channels' must be >= 1"),
+        ('{"noise_sigma": -1}', "key 'noise_sigma' must be >= 0"),
+        ('{"positive_fraction": 1.5}',
+         "key 'positive_fraction' must be in [0, 1]"),
+        ("[1, 2]", "a spec must be a JSON object"),
+        ("{bad", "not valid JSON")])
+    def test_bad_spec_names_file_and_key(self, tmp_path, capsys, text,
+                                         message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        rc = cli.main(["gen-data", "--spec", str(spec),
+                       "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "d").exists()
+
+    def test_float_key_takes_an_integer(self, tmp_path):
+        """An integer for a float key and an integral float for an int key
+        are accepted; the written spec keeps the integer as given."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SPEC, delta=4, channels=2.0)))
+        assert cli.main(["gen-data", "--spec", str(spec),
+                         "--out", str(tmp_path / "d")]) == 0
+        written = json.loads((tmp_path / "d" / "synth_spec.json").read_text())
+        assert written["delta"] == 4 and type(written["delta"]) is int
+        assert written["channels"] == 2 and type(written["channels"]) is int
+
     def test_bad_spec_path(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--spec", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "d")])
@@ -119,6 +163,44 @@ class TestEval:
         assert rc == 1
 
 
+def entry_edit(name, **changes):
+    """A header edit that sets keys of one array entry."""
+    def edit(header):
+        header["arrays"][name].update(changes)
+        return header
+    return edit
+
+
+def drop_dtype(header):
+    del header["arrays"]["psp.xi"]["dtype"]
+    return header
+
+
+# defect -> edit of a checkpoint's JSON header
+HEADER_EDITS = {
+    "header_list": lambda h: [1, 2],
+    "no_arrays": lambda h: {"meta": {}},
+    "no_meta": lambda h: {"arrays": h["arrays"]},
+    "bogus_dtype": entry_edit("psp.xi", dtype="bogus"),
+    "no_dtype": drop_dtype,
+    "shape_text": entry_edit("psp.xi", shape="80x48"),
+    "negative_shape": entry_edit("psp.xi", shape=[-80, 48]),
+    "offset_text": entry_edit("psp.xi", offset="0"),
+    "negative_offset": entry_edit("psp.xi", offset=-4),
+    "float_nbytes": entry_edit("psp.xi", nbytes=15360.0),
+}
+
+
+def rewrite_header(path, edit):
+    with open(path, "rb") as f:
+        whole = f.read()
+    hlen = int.from_bytes(whole[8:12], "little")
+    header = json.dumps(edit(json.loads(whole[12:12 + hlen]))).encode()
+    with open(path, "wb") as f:
+        f.write(whole[:8] + len(header).to_bytes(4, "little") + header
+                + whole[12 + hlen:])
+
+
 class TestCheckpointDefects:
     """A damaged checkpoint stops eval and explain with one error line."""
 
@@ -130,7 +212,25 @@ class TestCheckpointDefects:
         ("truncated", "truncated"),
         ("no_mesh_order", "missing key 'mesh_order'"),
         ("no_stats", "missing key 'stats'"),
-        ("encoder_key", "unknown config key 'encoder.width'")])
+        ("encoder_key", "unknown config key 'encoder.width'"),
+        ("header_list", "header must be an object, got list"),
+        ("no_arrays", "header key 'arrays' must hold an object"),
+        ("no_meta", "header key 'meta' must hold an object"),
+        ("bogus_dtype", "entry 'psp.xi': key 'dtype' must be 'float32', "
+                        "got 'bogus'"),
+        ("no_dtype", "entry 'psp.xi': missing key 'dtype'"),
+        ("shape_text", "entry 'psp.xi': key 'shape' must be a list of "
+                       "integers >= 0, got '80x48'"),
+        ("negative_shape", "entry 'psp.xi': key 'shape' must be a list of "
+                           "integers >= 0, got [-80, 48]"),
+        ("offset_text", "entry 'psp.xi': key 'offset' must be an integer "
+                        ">= 0, got '0'"),
+        ("negative_offset", "entry 'psp.xi': key 'offset' must be an "
+                            "integer >= 0, got -4"),
+        ("float_nbytes", "entry 'psp.xi': key 'nbytes' must be an integer "
+                         ">= 0, got 15360.0"),
+        ("nan_weight", "entry 'block0.attn.wq' holds non-finite values"),
+        ("inf_weight", "entry 'psp.logits' holds non-finite values")])
     def test_error_line_and_exit_1(self, workspace, tmp_path, capsys,
                                    defect, message):
         _, data, run = workspace
@@ -138,8 +238,11 @@ class TestCheckpointDefects:
         side = ckpt + ".provenance.json"
         shutil.copy(os.path.join(run, "model.xck"), ckpt)
         shutil.copy(os.path.join(run, "model.xck.provenance.json"), side)
-        if defect in ("missing_array", "wrong_shape", "no_mesh_order",
-                      "no_stats", "encoder_key"):
+        if defect in HEADER_EDITS:
+            rewrite_header(ckpt, HEADER_EDITS[defect])
+        elif defect in ("missing_array", "wrong_shape", "no_mesh_order",
+                        "no_stats", "encoder_key", "nan_weight",
+                        "inf_weight"):
             arrays, meta = load_arrays(ckpt)
             if defect == "missing_array":
                 del arrays["block0.mlp.w1"]
@@ -149,6 +252,10 @@ class TestCheckpointDefects:
                 del meta["mesh_order"]
             elif defect == "no_stats":
                 del meta["stats"]
+            elif defect == "nan_weight":
+                arrays["block0.attn.wq"][1, 2] = np.nan
+            elif defect == "inf_weight":
+                arrays["psp.logits"][7] = -np.inf
             else:
                 meta["encoder"]["width"] = 3
             save_arrays(ckpt, arrays, meta)
@@ -283,6 +390,15 @@ class TestExplain:
 
 
 class TestMesh:
+    def test_missing_directory_names_the_requested_path(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "missing" / "ico.ply"
+        assert cli.main(["mesh", "--order", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"'{out}'\n")
+        assert ".tmp-" not in err
+
     def test_writes_ply(self, tmp_path, capsys):
         out = str(tmp_path / "ico.ply")
         assert cli.main(["mesh", "--order", "1", "--out", out]) == 0

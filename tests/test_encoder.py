@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,27 @@ class TestEncode:
         a = enc.encode(Tensor(x), params, cfg, training=False).data
         b = enc.encode(Tensor(x), params, cfg, training=False).data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_graph_lives_only_on_the_tape(self, monkeypatch, tape):
+        """With constant parameters no node keeps its inputs, so once
+        encode returns every array an op made is freed but the result's;
+        with trainable ones the tape keeps them all for backward."""
+        made = []
+        make = Tensor._make
+
+        def recording(self, data, parents, backward, op):
+            out = make(self, data, parents, backward, op)
+            made.append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(Tensor, "_make", recording)
+        params = {k: Tensor(t.data, requires_grad=tape)
+                  for k, t in enc.init_params(TINY, 0).items()}
+        x = Tensor(tiny_inputs(np.random.default_rng(6)))
+        out = enc.encode(x, params, TINY, training=False)
+        assert made[-1]() is out.data
+        alive = sum(ref() is not None for ref in made)
+        assert alive == (len(made) if tape else 1)
 
     def test_training_dropout_needs_rng(self):
         cfg = enc.EncoderConfig(dim=8, depth=1, heads=2, dropout=0.5,

@@ -301,6 +301,18 @@ class TestDatasetIO:
             surf.load_dataset(str(path))
 
 
+class TestAtomicWrite:
+    def test_failed_replace_names_the_path_and_leaves_nothing(self,
+                                                              tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError) as info:
+            surf._atomic_write(str(target), b"data")
+        assert str(info.value).endswith(f": '{target}'")
+        assert ".tmp-" not in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 class TestPly:
     def test_header_and_counts(self, tmp_path):
         mesh = surf.build_icosphere(0)

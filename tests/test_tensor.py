@@ -246,6 +246,40 @@ class TestBackwardPass:
         assert visits == 5
 
 
+# every tape op, called on [3, 3] operands a and b
+TAPE_OPS = {
+    "add": lambda a, b: a.add(b),
+    "mul": lambda a, b: a.mul(b),
+    "div": lambda a, b: a.div(b),
+    "neg": lambda a, b: a.neg(),
+    "matmul": lambda a, b: a.matmul(b),
+    "gelu": lambda a, b: a.gelu(),
+    "log": lambda a, b: a.log(),
+    "clamp": lambda a, b: a.clamp(0.6, 1.2),
+    "sum": lambda a, b: a.sum(axis=0),
+    "reshape": lambda a, b: a.reshape(9),
+    "transpose": lambda a, b: a.transpose((1, 0)),
+    "softmax": lambda a, b: a.softmax(),
+    "attention": lambda a, b: a.attention(b, b),
+    "layernorm": lambda a, b: a.layernorm(Tensor(b.data[0]), Tensor(b.data[1])),
+    "rect_cosine": lambda a, b: a.rect_cosine(b),
+}
+
+
+class TestTape:
+    """An op's output joins the tape only when an operand requires a
+    gradient; otherwise it keeps neither parents nor closure."""
+
+    @pytest.mark.parametrize("op", sorted(TAPE_OPS))
+    def test_constant_operands_make_a_constant(self, op):
+        rng = np.random.default_rng(0)
+        a, b = (Tensor(rng.uniform(0.5, 1.5, (3, 3))) for _ in range(2))
+        out = TAPE_OPS[op](a, b)
+        assert out.op == op
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_no_change(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
