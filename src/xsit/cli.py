@@ -74,10 +74,9 @@ def _cmd_gen_data(args) -> int:
     with open(args.spec) as f:
         text = f.read()
     try:
-        spec = synth.SynthSpec.from_json(text)
+        manifest = synth.generate(synth.SynthSpec.from_json(text), args.out)
     except ValueError as e:
         raise ValueError(f"{args.spec}: {e}") from e
-    manifest = synth.generate(spec, args.out)
     print(f"wrote {manifest}")
     return 0
 

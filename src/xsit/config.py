@@ -3,26 +3,23 @@
 The config file is JSON with three sections (encoder, psp, train); the
 resolved effective config is echoed to <out>/config.resolved.json on every
 training run. Every value, from the file or an override, must have its
-default's JSON type (a float key also takes an integer) and lie in range,
+field's type by the one type rule of `surface.checked` and lie in range,
 and the encoder section must pass EncoderConfig's own checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 
 from .encoder import EncoderConfig
+from .surface import SurfaceError, checked
 
 
 DEFAULTS = {
-    "encoder": {
-        "dim": 48,
-        "depth": 4,
-        "heads": 6,
-        "mlp_ratio": 4,
-        "dropout": 0.1,
-    },
+    "encoder": {k: getattr(EncoderConfig(), k)
+                for k in ("dim", "depth", "heads", "mlp_ratio", "dropout")},
     "psp": {
         "class_restricted_projection": True,
         "rectify_prototypes": True,
@@ -38,55 +35,44 @@ DEFAULTS = {
     },
 }
 
-TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
-
-# Ranges beyond the type: (test, description) per key.
-_RANGES = {
-    "encoder.dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "train.lr": (lambda v: v > 0.0, "> 0"),
-    "train.weight_decay": (lambda v: v >= 0.0, ">= 0"),
-    "train.epochs": (lambda v: v >= 0, ">= 0"),
-    "train.batch_size": (lambda v: v >= 1, ">= 1"),
-    "train.projection_period": (lambda v: v >= 1, ">= 1"),
+# key -> (type, test, description) of every setting
+FIELDS = {
+    "encoder.dim": (int, lambda v: v >= 1, ">= 1"),
+    "encoder.depth": (int, lambda v: v >= 0, ">= 0"),
+    "encoder.heads": (int, lambda v: v >= 1, ">= 1"),
+    "encoder.mlp_ratio": (int, lambda v: v >= 1, ">= 1"),
+    "encoder.dropout": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "psp.class_restricted_projection": (bool, None, ""),
+    "psp.rectify_prototypes": (bool, None, ""),
+    "train.epochs": (int, lambda v: v >= 0, ">= 0"),
+    "train.batch_size": (int, lambda v: v >= 1, ">= 1"),
+    "train.lr": (float, lambda v: v > 0.0, "> 0"),
+    "train.weight_decay": (float, lambda v: v >= 0.0, ">= 0"),
+    "train.projection_period": (int, lambda v: v >= 1, ">= 1"),
+    "train.seed": (int, lambda v: v >= 0, ">= 0"),
+    "train.class_weighted": (bool, None, ""),
 }
 
-
-class ConfigError(ValueError):
-    pass
+ConfigError = SurfaceError  # a bad setting is a bad input like any other
 
 
-def has_type(kind: type, val) -> bool:
-    """The type rule of every JSON setting: bools are JSON true/false only,
-    ints take no fractional part, floats take ints."""
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if kind is bool:
-        return isinstance(val, bool)
-    if kind is int:
-        return number and (isinstance(val, int) or val.is_integer())
-    return number
-
-
-def _checked(section: str, key: str, val):
-    """`val` as the type of the key's default, or ConfigError."""
-    dotted = f"{section}.{key}"
-    if section not in DEFAULTS or key not in DEFAULTS[section]:
-        raise ConfigError(f"unknown config key '{dotted}'")
-    kind = type(DEFAULTS[section][key])
-    if not has_type(kind, val):
-        raise ConfigError(f"config key '{dotted}' needs "
-                          f"{TYPE_NAMES[kind]}, got {val!r}")
-    val = kind(val)
-    if dotted in _RANGES and not _RANGES[dotted][0](val):
-        raise ConfigError(f"config key '{dotted}' must be "
-                          f"{_RANGES[dotted][1]}, got {val!r}")
-    return val
+def check_settings(where: str, values: dict) -> dict:
+    """`values`, keyed 'section.key', each checked against FIELDS and made
+    its type (a float setting given as an integer is a float); `where`
+    names their source."""
+    for key in values:
+        if key not in FIELDS:
+            raise ConfigError(f"{where}unknown config key '{key}'")
+    return {k: FIELDS[k][0](checked(f"{where}config ", k, v, FIELDS[k]))
+            for k, v in values.items()}
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     """Merge defaults, an optional JSON file, and flat 'section.key'
     overrides. An override given as text is read as JSON, so 'true' is a
-    bool and '3' an int; text that is not JSON stays a string."""
-    cfg = copy.deepcopy(DEFAULTS)
+    bool and '3' an int; text that is not JSON stays a string. An error
+    names the file, or '--set' for an override, and the key."""
+    given = {}
     if path is not None:
         with open(path) as f:
             try:
@@ -96,21 +82,21 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         if not isinstance(user, dict) or not all(
                 isinstance(v, dict) for v in user.values()):
             raise ConfigError(f"{path}: config must map sections to objects")
-        for section, values in user.items():
-            if section not in cfg:
-                raise ConfigError(f"unknown config section '{section}'")
-            for key, val in values.items():
-                cfg[section][key] = _checked(section, key, val)
-    for dotted, val in (overrides or {}).items():
-        if isinstance(val, str):
-            try:
-                val = json.loads(val)
-            except json.JSONDecodeError:
-                pass
-        section, _, key = dotted.partition(".")
-        cfg[section][key] = _checked(section, key, val)
-    try:
-        EncoderConfig(**cfg["encoder"])
-    except ValueError as e:
-        raise ConfigError(f"config key {e}") from e
+        for section in user:
+            if section not in DEFAULTS:
+                raise ConfigError(f"{path}: unknown config section "
+                                  f"'{section}'")
+        given = check_settings(f"{path}: ", {f"{s}.{k}": v for s, vals in
+                                             user.items() for k, v in
+                                             vals.items()})
+    texts = dict(overrides or {})
+    for key, val in texts.items():
+        with contextlib.suppress(TypeError, ValueError):
+            texts[key] = json.loads(val)
+    given.update(check_settings("--set: ", texts))
+    cfg = copy.deepcopy(DEFAULTS)
+    for dotted, val in given.items():
+        section, key = dotted.split(".")
+        cfg[section][key] = val
+    EncoderConfig(**cfg["encoder"])
     return cfg

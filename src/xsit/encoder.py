@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .surface import SurfaceError
 from .tensor import Tensor, TensorError
 
 
@@ -27,15 +28,10 @@ class EncoderConfig:
     channels: int = 3        # F
 
     def __post_init__(self):
-        for name in ("dim", "depth", "heads", "mlp_ratio", "seq_len",
-                     "patch_size", "channels"):
-            val, low = getattr(self, name), 0 if name == "depth" else 1
-            if val < low:
-                raise ValueError(f"'encoder.{name}' must be >= {low}, "
-                                 f"got {val}")
-        if self.dim % self.heads != 0:
-            raise ValueError(f"'encoder.heads' must divide 'encoder.dim', "
-                             f"got {self.heads} and {self.dim}")
+        """The rule across settings; their ranges are the config's."""
+        if self.heads < 1 or self.dim % self.heads != 0:
+            raise SurfaceError(f"'encoder.heads' must divide 'encoder.dim', "
+                               f"got {self.heads} and {self.dim}")
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -172,17 +173,7 @@ class DatasetManifest:
         return vertex_count(self.mesh_order) * self.hemispheres
 
     def to_dict(self) -> dict:
-        return {
-            "mesh_order": self.mesh_order, "patch_order": self.patch_order,
-            "hemispheres": self.hemispheres, "channels": self.channels,
-            "stats": self.stats, "subjects": self.subjects,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
-        return cls(mesh_order=d["mesh_order"], patch_order=d["patch_order"],
-                   hemispheres=d["hemispheres"], channels=d["channels"],
-                   stats=d["stats"], subjects=d["subjects"])
+        return asdict(self)
 
 
 def _vertex_ids(partition: PatchPartition, hemispheres: int) -> np.ndarray:
@@ -239,51 +230,83 @@ def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
     return feats.astype(np.float32)
 
 
-def _is_int(low: int):
-    return lambda v: type(v) is int and v >= low
+# -- reading input ------------------------------------------------------------
+# Every value read from a file or --set is checked against a field table:
+# key -> (type, test of the typed value or None, what it "must be"). In a
+# record the program wrote (`exact`) ints are JSON integers, and the
+# description states the type too and tells any fault.
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               list: "a list", dict: "an object"}
 
 
-# key -> (test, description) of what a manifest and a checkpoint's meta
-# both record about the data, and of one manifest subject entry.
-_DATASET_FIELDS = {
-    "mesh_order": (_is_int(0), "an integer >= 0"),
-    "patch_order": (_is_int(0), "an integer >= 0"),
-    "hemispheres": (_is_int(1), "an integer >= 1"),
-    "channels": (lambda v: isinstance(v, list) and len(v) > 0
-                 and all(isinstance(c, str) for c in v),
-                 "a nonempty list of names"),
-    "stats": (lambda v: isinstance(v, dict), "an object"),
-}
-_SUBJECT_FIELDS = {
-    "id": (lambda v: isinstance(v, str), "a string"),
-    "label": (lambda v: type(v) is int and v in (0, 1), "0 or 1"),
-    "split": (lambda v: v in ("train", "val", "test"),
-              "one of train, val, test"),
-    "path": (lambda v: isinstance(v, str), "a string"),
-}
+def checked(where: str, key: str, val, field: tuple, exact: bool = False):
+    """`val`, an integral float for an int made an int, or one SurfaceError
+    that starts with `where` (the source) and names `key`. The type rule:
+    bools are true/false only, ints take no fractional part, floats take
+    ints, and every number is finite."""
+    kind, test, what = field
+    if kind in (int, float):
+        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+              and abs(val) <= sys.float_info.max
+              and (kind is float or isinstance(val, int)
+                   or not exact and val.is_integer()))
+    else:
+        ok = isinstance(val, kind)
+    if not (ok or exact):
+        raise SurfaceError(f"{where}key '{key}' needs {_KIND_NAMES[kind]}, "
+                           f"got {val!r}")
+    val = int(val) if ok and kind is int else val
+    if not ok or test is not None and not test(val):
+        raise SurfaceError(f"{where}key '{key}' must be {what}, got {val!r}")
+    return val
 
 
-def _check_keys(d, fields: dict, where: str = "") -> None:
-    for key, (ok, what) in fields.items():
+def check_fields(where: str, d, table: dict) -> dict:
+    """The exact values of record `d` for every key of `table`; a missing
+    key, or a `d` that is not an object, is a SurfaceError."""
+    for key in table:
         if not isinstance(d, dict) or key not in d:
             raise SurfaceError(f"{where}missing key '{key}'")
-        if not ok(d[key]):
-            raise SurfaceError(f"{where}key '{key}' must be {what}, "
-                               f"got {d[key]!r}")
+    return {k: checked(where, k, d[k], f, exact=True)
+            for k, f in table.items()}
 
 
-def check_dataset_fields(d) -> None:
+# what a manifest and a checkpoint's meta both record about the data, the
+# statistics of one channel, and one manifest subject entry
+_DATASET = {
+    "mesh_order": (int, lambda v: v >= 0, "an integer >= 0"),
+    "patch_order": (int, lambda v: v >= 0, "an integer >= 0"),
+    "hemispheres": (int, lambda v: v >= 1, "an integer >= 1"),
+    "channels": (list, lambda v: v and all(isinstance(c, str) for c in v),
+                 "a nonempty list of names"),
+    "stats": (dict, None, "an object"),
+}
+_STATS = {"mean": (float, None, "a number"),
+          "std": (float, lambda v: v > 0, "a number > 0")}
+_SUBJECT = {
+    "id": (str, None, "a string"),
+    "label": (int, lambda v: v in (0, 1), "0 or 1"),
+    "split": (str, lambda v: v in ("train", "val", "test"),
+              "one of train, val, test"),
+    "path": (str, None, "a string"),
+}
+
+
+def check_dataset_fields(d, where: str = "") -> None:
     """SurfaceError naming the first of the mesh and patch orders,
-    hemispheres, channel names and per-channel {mean, std} stats that `d`
-    lacks or holds with the wrong type."""
-    _check_keys(d, _DATASET_FIELDS)
+    hemispheres, channel names and per-channel {mean, std > 0} stats that
+    `d` lacks or holds out of range."""
+    check_fields(where, d, _DATASET)
     stats = d["stats"]
     if sorted(stats) != sorted(d["channels"]) or not all(
             isinstance(s, dict) and sorted(s) == ["mean", "std"]
             and all(type(x) in (int, float) for x in s.values())
             for s in stats.values()):
-        raise SurfaceError("key 'stats' must hold one {mean, std} pair of "
-                           "numbers per channel")
+        raise SurfaceError(f"{where}key 'stats' must hold one {{mean, std}} "
+                           f"pair of numbers per channel")
+    for name, s in stats.items():
+        check_fields(f"{where}stats.{name}: ", s, _STATS)
 
 
 def load_dataset(manifest_path: str):
@@ -294,15 +317,13 @@ def load_dataset(manifest_path: str):
             d = json.load(f)
     except json.JSONDecodeError as e:
         raise SurfaceError(f"{manifest_path}: not valid JSON ({e})") from e
-    try:
-        check_dataset_fields(d)
-        _check_keys(d, {"subjects": (lambda v: isinstance(v, list),
-                                     "a list")})
-        for i, entry in enumerate(d["subjects"]):
-            _check_keys(entry, _SUBJECT_FIELDS, f"subject {i}: ")
-    except SurfaceError as e:
-        raise SurfaceError(f"{manifest_path}: {e}") from e
-    manifest = DatasetManifest.from_dict(d)
+    where = f"{manifest_path}: "
+    check_dataset_fields(d, where)
+    subjects = check_fields(where, d, {"subjects": (list, None, "a list")})
+    for i, entry in enumerate(subjects["subjects"]):
+        check_fields(f"{where}subject {i}: ", entry, _SUBJECT)
+    manifest = DatasetManifest(**{f.name: d[f.name]
+                                  for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits = {"train": [], "val": [], "test": []}
     for entry in manifest.subjects:

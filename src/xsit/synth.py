@@ -16,11 +16,30 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import surface as surf
-from .config import TYPE_NAMES, has_type
+
+
+# key -> (type, test, description) of each spec setting
+FIELDS = {
+    "mesh_order": (int, lambda v: v >= 0, ">= 0"),
+    "patch_order": (int, lambda v: v >= 0, ">= 0"),
+    "hemispheres": (int, lambda v: v >= 1, ">= 1"),
+    "channels": (int, lambda v: v >= 1, ">= 1"),
+    "lesion_patches": (list, lambda v: len(v) > 0, "nonempty"),
+    "delta": (float, lambda v: v >= 0, ">= 0"),
+    "baseline_terms": (int, lambda v: v >= 0, ">= 0"),
+    "baseline_amplitude": (float, None, ""),
+    "noise_sigma": (float, lambda v: v >= 0, ">= 0"),
+    "counts": (dict, None, ""),
+    "positive_fraction": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "misaligned_lesion": (bool, None, ""),
+    "seed": (int, lambda v: v >= 0, ">= 0"),
+}
 
 
 @dataclass
 class SynthSpec:
+    """A synthetic dataset's settings, checked against FIELDS however the
+    spec is made; a float setting keeps an integer as given."""
     mesh_order: int = 4
     patch_order: int = 1
     hemispheres: int = 1
@@ -38,67 +57,40 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key, f in FIELDS.items():
+            setattr(self, key, surf.checked("", key, getattr(self, key), f))
+        self.lesion_patches = [
+            surf.checked("", f"lesion_patches[{i}]", v, (int, None, ""))
+            for i, v in enumerate(self.lesion_patches)]
+        if self.counts.keys() != {"train", "val", "test"}:
+            raise surf.SurfaceError(
+                f"key 'counts' needs one integer for each of train, val, "
+                f"test, got {self.counts!r}")
+        self.counts = {k: surf.checked("", f"counts.{k}", v,
+                                       (int, lambda n: n >= 1, ">= 1"))
+                       for k, v in self.counts.items()}
         n_total = surf.face_count(self.patch_order) * self.hemispheres
-        if self.channels < 1:
-            raise ValueError("key 'channels' must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("key 'noise_sigma' must be >= 0")
-        if not 0 <= self.positive_fraction <= 1:
-            raise ValueError("key 'positive_fraction' must be in [0, 1]")
-        if not self.lesion_patches:
-            raise ValueError("lesion patch set must be nonempty")
-        if any(i < 0 or i >= n_total for i in self.lesion_patches):
-            raise ValueError("lesion patch index out of range")
-        if self.delta < 0 or any(c < 1 for c in self.counts.values()):
-            raise ValueError("delta must be >= 0 and counts positive")
+        if any(not 0 <= i < n_total for i in self.lesion_patches):
+            raise surf.SurfaceError(f"key 'lesion_patches' holds a patch "
+                                    f"index out of range [0, {n_total})")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        """The spec a JSON object gives. Each key must have its default's
-        type by the config's rule (a float key also takes an integer):
-        lesion_patches a list of integers, counts one integer for each of
-        train, val and test. A ValueError names the first key that does
-        not."""
+        """The spec a JSON object gives; a ValueError names the first key
+        that is unknown or does not pass FIELDS."""
         try:
             d = json.loads(text)
         except ValueError as e:
             raise ValueError(f"not valid JSON ({e})") from e
         if not isinstance(d, dict):
             raise ValueError("a spec must be a JSON object")
-        defaults = asdict(cls())
-        spec = {}
-        for key, val in d.items():
-            if key not in defaults:
+        for key in d:
+            if key not in FIELDS:
                 raise ValueError(f"unknown key '{key}'")
-            want = defaults[key]
-            if isinstance(want, list):
-                if not isinstance(val, list):
-                    raise ValueError(f"key '{key}' needs a list, got {val!r}")
-                val = [_typed(f"{key}[{i}]", int, v)
-                       for i, v in enumerate(val)]
-            elif isinstance(want, dict):
-                if not isinstance(val, dict) or val.keys() != want.keys():
-                    raise ValueError(f"key '{key}' needs one integer for "
-                                     f"each of {', '.join(want)}, got "
-                                     f"{val!r}")
-                val = {k: _typed(f"{key}.{k}", int, v)
-                       for k, v in val.items()}
-            else:
-                val = _typed(key, type(want), val)
-            spec[key] = val
-        return cls(**spec)
-
-
-def _typed(name: str, kind: type, val):
-    """`val` if it has type `kind` by the config's rule, an integral float
-    made an int; else a ValueError naming the key."""
-    if not has_type(kind, val):
-        raise ValueError(f"key '{name}' needs {TYPE_NAMES[kind]}, got "
-                         f"{val!r}")
-    return int(val) if kind is int else val
+        return cls(**d)
 
 
 def lesion_ground_truth(spec: SynthSpec) -> np.ndarray:
@@ -157,8 +149,8 @@ def _shifted_patch(partition: surf.PatchPartition, patch: int) -> np.ndarray:
 
 def generate(spec: SynthSpec, out_dir: str) -> str:
     """Write manifest + per-subject raw feature files; returns the manifest
-    path. Byte-deterministic given the spec."""
-    os.makedirs(out_dir, exist_ok=True)
+    path. Byte-deterministic given the spec. Nothing is written if the
+    manifest fails `load_dataset`'s check, as a constant channel does."""
     partition = surf.build_partition(spec.mesh_order, spec.patch_order)
     mesh = partition.mesh
     v_total = mesh.n_vertices * spec.hemispheres
@@ -169,34 +161,34 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
     channels[0] = "thickness"
 
     subjects = []
-    train_feats = []
-    subject_index = 0
     for split in ("train", "val", "test"):
-        n = spec.counts[split]
-        n_pos = int(round(n * spec.positive_fraction))
-        for k in range(n):
-            label = 1 if k < n_pos else 0
-            sid = f"s{subject_index:04d}"
-            rng = np.random.default_rng([spec.seed, 1, subject_index])
-            feats = baseline + rng.normal(
-                0.0, spec.noise_sigma,
-                size=(v_total, spec.channels)).astype(np.float32)
-            if label == 1:
-                feats[lesion_idx, 0] -= spec.delta * spec.noise_sigma
-            feats = feats.astype(np.float32)
-            path = f"{sid}.f32"
-            surf.save_sample(os.path.join(out_dir, path), feats)
-            subjects.append({"id": sid, "label": label, "split": split,
-                             "path": path})
-            if split == "train":
-                train_feats.append(surf.SurfaceSample(sid, label, feats))
-            subject_index += 1
+        n_pos = int(round(spec.counts[split] * spec.positive_fraction))
+        for k in range(spec.counts[split]):
+            sid = f"s{len(subjects):04d}"
+            subjects.append({"id": sid, "label": 1 if k < n_pos else 0,
+                             "split": split, "path": f"{sid}.f32"})
 
-    stats = surf.compute_stats(train_feats, channels)
+    def features(i: int) -> np.ndarray:
+        rng = np.random.default_rng([spec.seed, 1, i])
+        feats = baseline + rng.normal(
+            0.0, spec.noise_sigma,
+            size=(v_total, spec.channels)).astype(np.float32)
+        if subjects[i]["label"] == 1:
+            feats[lesion_idx, 0] -= spec.delta * spec.noise_sigma
+        return feats.astype(np.float32)
+
+    train = [surf.SurfaceSample(s["id"], s["label"], features(i))
+             for i, s in enumerate(subjects[:spec.counts["train"]])]
+    stats = surf.compute_stats(train, channels)
     manifest = surf.DatasetManifest(
         mesh_order=spec.mesh_order, patch_order=spec.patch_order,
         hemispheres=spec.hemispheres, channels=channels, stats=stats,
         subjects=subjects)
+    surf.check_dataset_fields(manifest.to_dict(), "the data it makes: ")
+    os.makedirs(out_dir, exist_ok=True)
+    for i, s in enumerate(subjects):
+        feats = train[i].features if i < len(train) else features(i)
+        surf.save_sample(os.path.join(out_dir, s["path"]), feats)
     manifest_path = os.path.join(out_dir, "manifest.json")
     surf._atomic_write(manifest_path,
                        json.dumps(manifest.to_dict(), sort_keys=True,

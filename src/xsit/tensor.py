@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .surface import SurfaceError, _atomic_write, _check_keys
+from .surface import _atomic_write, check_fields
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -448,17 +448,13 @@ class AdamW:
 _MAGIC = b"XSCKPT01"
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-# key -> (test, description) of one array entry of the header
-_ENTRY_FIELDS = {
-    "dtype": (lambda v: v == "float32", "'float32'"),
-    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+# key -> (type, test, description) of one array entry of the header
+_ENTRY = {
+    "dtype": (str, lambda v: v == "float32", "'float32'"),
+    "shape": (list, lambda v: all(type(n) is int and n >= 0 for n in v),
               "a list of integers >= 0"),
-    "offset": (_is_count, "an integer >= 0"),
-    "nbytes": (_is_count, "an integer >= 0"),
+    "offset": (int, lambda v: v >= 0, "an integer >= 0"),
+    "nbytes": (int, lambda v: v >= 0, "an integer >= 0"),
 }
 
 
@@ -482,7 +478,7 @@ def save_arrays(path: str, arrays: dict, meta: dict | None = None) -> None:
 def load_arrays(path: str):
     """Returns (arrays: dict[str, np.ndarray], meta: dict). A header, an
     entry or an array that save_arrays would not have written, or that
-    does not fit the file, is a TensorError naming the file and the key."""
+    does not fit the file, is a ValueError naming the file and the key."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise TensorError(f"{path}: not a checkpoint container")
@@ -504,10 +500,7 @@ def load_arrays(path: str):
     payload = memoryview(blob)[4 + hlen:]
     arrays = {}
     for name, ent in header["arrays"].items():
-        try:
-            _check_keys(ent, _ENTRY_FIELDS, f"entry '{name}': ")
-        except SurfaceError as e:
-            raise TensorError(f"{path}: {e}") from e
+        check_fields(f"{path}: entry '{name}': ", ent, _ENTRY)
         start, end = ent["offset"], ent["offset"] + ent["nbytes"]
         if ent["nbytes"] != math.prod(ent["shape"]) * 4:
             raise TensorError(f"{path}: entry '{name}' has {ent['nbytes']} "

@@ -14,7 +14,7 @@ import numpy as np
 from . import encoder as enc
 from . import psp
 from . import surface as surf
-from .config import DEFAULTS, ConfigError, _checked
+from .config import DEFAULTS, ConfigError, check_settings
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
@@ -102,6 +102,13 @@ class Model:
         return self.part
 
 
+# a meta key whose value is checked as a setting; each entry of the
+# provenance sidecar that is not null: [subject, epoch]
+_ANY = (object, None, "")
+_PROVENANCE = {"subject_id": (str, None, "a string"),
+               "epoch": (int, None, "an integer")}
+
+
 def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     """The one place a Model is put together: partition, EncoderConfig and
     wrapped arrays, from `meta`. `arrays` maps names to arrays whose names
@@ -111,21 +118,20 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     config sections go through the config's own checks."""
     try:
         surf.check_dataset_fields(meta)
-        for key in DEFAULTS["psp"]:
-            if key not in meta:
-                raise ConfigError(f"missing key '{key}'")
-            _checked("psp", key, meta[key])
+        surf.check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
         if not isinstance(meta.get("encoder"), dict):
             raise ConfigError("key 'encoder' must be an object")
-        encoder = {k: _checked("encoder", k, v)
-                   for k, v in meta["encoder"].items()}
+        given = check_settings("", {
+            **{f"psp.{k}": meta[k] for k in DEFAULTS["psp"]},
+            **{f"encoder.{k}": v for k, v in meta["encoder"].items()}})
         for key in DEFAULTS["encoder"]:
-            if key not in encoder:
+            if f"encoder.{key}" not in given:
                 raise ConfigError(f"missing key 'encoder.{key}'")
         part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
         n_total = part.n_patches * meta["hemispheres"]
-        ecfg = enc.EncoderConfig(**encoder, seq_len=n_total,
-                                 patch_size=part.patch_size,
+        ecfg = enc.EncoderConfig(**{k: given[f"encoder.{k}"]
+                                    for k in DEFAULTS["encoder"]},
+                                 seq_len=n_total, patch_size=part.patch_size,
                                  channels=len(meta["channels"]))
     except ValueError as e:
         raise TrainError(f"{source}: {e}") from e
@@ -321,5 +327,8 @@ def load_checkpoint(path: str) -> Model:
             p is None or isinstance(p, list) and len(p) == 2 for p in prov):
         raise TrainError(f"{side}: expected a list of null or "
                          f"[subject_id, epoch] entries")
-    return _assemble(meta, arrays, [tuple(p) if p else None for p in prov],
-                     path)
+    prov = [p and tuple(surf.check_fields(f"{side}: entry {i}: ",
+                                          dict(zip(_PROVENANCE, p)),
+                                          _PROVENANCE).values())
+            for i, p in enumerate(prov)]
+    return _assemble(meta, arrays, prov, path)

@@ -297,6 +297,107 @@ class TestDatasetDefects:
         assert f"{manifest}: missing key 'stats'" in err
 
 
+def edit_json(path, edit):
+    with open(path) as f:
+        d = json.load(f)
+    edit(d)
+    with open(path, "w") as f:
+        json.dump(d, f)
+
+
+def edit_meta(path, edit):
+    arrays, meta = load_arrays(path)
+    edit(meta)
+    save_arrays(path, arrays, meta)
+
+
+def set_std(std):
+    return lambda d: d["stats"]["thickness"].update(std=std)
+
+
+def swap_first_entry(entries):
+    entries[0] = [7, "x"]  # [epoch, subject] for [subject, epoch]
+
+
+INF, NAN = float("inf"), float("nan")
+
+# defect -> (file it edits: config, spec, manifest, meta or sidecar, or
+# None for a --set; the edit or the --set; key texts the error names)
+INPUT_DEFECTS = {
+    "config-lr-inf": ("config", {"train": {"lr": INF}}, ["train.lr"]),
+    "config-weight_decay-nan": ("config", {"train": {"weight_decay": NAN}},
+                                ["train.weight_decay"]),
+    "config-seed-negative": ("config", {"train": {"seed": -1}},
+                             ["train.seed"]),
+    "set-lr-inf": (None, "train.lr=Infinity", ["train.lr"]),
+    "set-lr-nan": (None, "train.lr=NaN", ["train.lr"]),
+    "set-weight_decay-inf": (None, "train.weight_decay=Infinity",
+                             ["train.weight_decay"]),
+    "set-weight_decay-nan": (None, "train.weight_decay=NaN",
+                             ["train.weight_decay"]),
+    "set-seed-negative": (None, "train.seed=-1", ["train.seed"]),
+    "spec-delta-nan": ("spec", dict(SPEC, delta=NAN), ["key 'delta'"]),
+    "spec-constant-channel": ("spec", dict(SPEC, noise_sigma=0,
+                                           baseline_amplitude=0),
+                              ["stats.thickness", "key 'std'"]),
+    "manifest-std-zero": ("manifest", set_std(0),
+                          ["stats.thickness", "key 'std'"]),
+    "manifest-std-negative": ("manifest", set_std(-1),
+                              ["stats.thickness", "key 'std'"]),
+    "manifest-std-nan": ("manifest", set_std(NAN),
+                         ["stats.thickness", "key 'std'"]),
+    "meta-std-nan": ("meta", set_std(NAN), ["stats.thickness", "key 'std'"]),
+    "sidecar-entry-types": ("sidecar", swap_first_entry,
+                            ["entry 0", "key 'subject_id'"]),
+}
+
+
+class TestEveryInputNamesItsSourceAndKey:
+    """A defect in any input stops the command that reads it with one error
+    line that names the file, or --set, and the key, and exit 1."""
+
+    @pytest.mark.parametrize("defect", INPUT_DEFECTS)
+    def test_error_line_and_exit_1(self, workspace, tmp_path, capsys,
+                                   defect):
+        _, data, run = workspace
+        source, change, keys = INPUT_DEFECTS[defect]
+        bad_data, bad_run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(data, bad_data)
+        shutil.copytree(run, bad_run)
+        ckpt = str(bad_run / "model.xck")
+        out = tmp_path / "out"
+        train_args = ["train", "--data", str(bad_data), "--out", str(out)]
+        for setting in TRAIN_SETS:
+            train_args += ["--set", setting]
+        named = {"config": tmp_path / "config.json",
+                 "spec": tmp_path / "spec.json",
+                 "manifest": bad_data / "manifest.json",
+                 "meta": ckpt, "sidecar": ckpt + ".provenance.json"}
+        path = str(named.get(source, "--set"))
+        if source is None:
+            args = train_args + ["--set", change]
+        elif source == "config":
+            (tmp_path / "config.json").write_text(json.dumps(change))
+            args = train_args + ["--config", path]
+        elif source == "spec":
+            (tmp_path / "spec.json").write_text(json.dumps(change))
+            args = ["gen-data", "--spec", path, "--out", str(out)]
+        elif source == "manifest":
+            edit_json(path, change)
+            args = train_args
+        else:
+            (edit_meta if source == "meta" else edit_json)(path, change)
+            args = ["eval", "--checkpoint", ckpt, "--data", data,
+                    "--split", "test"]
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        for key in keys:
+            assert key in err
+        assert not out.exists()
+
+
 class TestExplain:
     def test_individual(self, workspace, tmp_path, capsys):
         _, data, run = workspace

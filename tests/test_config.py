@@ -70,7 +70,7 @@ class TestBounds:
     @pytest.mark.parametrize("key,val", [
         ("train.batch_size", 0), ("train.projection_period", 0),
         ("train.epochs", -1), ("encoder.heads", 5), ("encoder.dim", 0),
-        ("encoder.depth", -1)])
+        ("encoder.depth", -1), ("train.seed", -1)])
     def test_rejected_naming_the_key(self, key, val):
         with pytest.raises(cfgmod.ConfigError, match=re.escape(key)):
             cfgmod.load_config(overrides={key: val})

@@ -282,7 +282,9 @@ class TestDatasetIO:
          "subject 1: missing key 'label'"),
         (lambda d: d["subjects"][2].update(label="1"),
          "subject 2: key 'label' must be 0 or 1"),
-        (lambda d: d["subjects"].append(5), "subject 4: missing key 'id'")])
+        (lambda d: d["subjects"].append(5), "subject 4: missing key 'id'"),
+        (lambda d: d["stats"]["curv"].update(std=-1),
+         "stats.curv: key 'std' must be a number > 0, got -1")])
     def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,
                                                       message):
         path, _ = self._write_dataset(tmp_path)

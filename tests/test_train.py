@@ -290,6 +290,17 @@ class TestCheckpointDefects:
             with pytest.raises(train.TrainError, match="subject_id, epoch"):
                 train.load_checkpoint(saved)
 
+    @pytest.mark.parametrize("entry,message", [
+        ([7, "x"], "entry 0: key 'subject_id' must be a string, got 7"),
+        (["s0000", "x"], "entry 0: key 'epoch' must be an integer, got 'x'"),
+        (["s0000", 2.0], "entry 0: key 'epoch' must be an integer, got 2.0")])
+    def test_sidecar_entry_types(self, saved, entry, message):
+        with open(saved + ".provenance.json", "w") as f:
+            json.dump([entry] * 80, f)
+        with pytest.raises(ValueError, match=re.escape(
+                f"m.xck.provenance.json: {message}")):
+            train.load_checkpoint(saved)
+
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m.pop("mesh_order"), "missing key 'mesh_order'"),
         (lambda m: m.update(patch_order=1.0),
@@ -303,6 +314,10 @@ class TestCheckpointDefects:
          "key 'stats' must hold one {mean, std} pair of numbers per channel"),
         (lambda m: m["stats"]["ch1"].update(std="1"),
          "key 'stats' must hold one {mean, std} pair of numbers per channel"),
+        (lambda m: m["stats"]["ch1"].update(std=0.0),
+         "stats.ch1: key 'std' must be a number > 0, got 0.0"),
+        (lambda m: m["stats"]["thickness"].update(mean=float("inf")),
+         "stats.thickness: key 'mean' must be a number, got inf"),
         (lambda m: m.pop("rectify_prototypes"),
          "missing key 'rectify_prototypes'"),
         (lambda m: m.update(class_restricted_projection=1),
