@@ -29,7 +29,6 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None, help="run config JSON")
     t.add_argument("--data", required=True, help="dataset directory")
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
     t.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key, e.g. train.lr=3e-4")
 
@@ -82,10 +81,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides = _parse_overrides(args.set)
-    if args.seed is not None:
-        overrides["train.seed"] = args.seed
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, _parse_overrides(args.set))
     manifest, splits = surf.load_dataset(os.path.join(args.data,
                                                       "manifest.json"))
     _, history = tr.train_run(cfg, manifest, splits, out_dir=args.out)

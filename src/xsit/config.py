@@ -20,10 +20,7 @@ from .surface import SurfaceError, checked
 DEFAULTS = {
     "encoder": {k: getattr(EncoderConfig(), k)
                 for k in ("dim", "depth", "heads", "mlp_ratio", "dropout")},
-    "psp": {
-        "class_restricted_projection": True,
-        "rectify_prototypes": True,
-    },
+    "psp": {"rectify_prototypes": True},
     "train": {
         "epochs": 30,
         "batch_size": 16,
@@ -42,7 +39,6 @@ FIELDS = {
     "encoder.heads": (int, lambda v: v >= 1, ">= 1"),
     "encoder.mlp_ratio": (int, lambda v: v >= 1, ">= 1"),
     "encoder.dropout": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "psp.class_restricted_projection": (bool, None, ""),
     "psp.rectify_prototypes": (bool, None, ""),
     "train.epochs": (int, lambda v: v >= 0, ">= 0"),
     "train.batch_size": (int, lambda v: v >= 1, ">= 1"),

@@ -44,39 +44,36 @@ def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def init_params(config: EncoderConfig, seed: int) -> dict:
-    """Named parameter dict; deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    d, mf = config.dim, config.patch_size * config.channels
-    p = {}
-
-    def weight(name, shape):
-        p[name] = Tensor(_trunc_normal(rng, shape), requires_grad=True)
-
-    def zeros(name, shape):
-        p[name] = Tensor(np.zeros(shape, np.float32), requires_grad=True)
-
-    def ones(name, shape):
-        p[name] = Tensor(np.ones(shape, np.float32), requires_grad=True)
-
-    weight("patch_proj.w", (mf, d))
-    zeros("patch_proj.b", (d,))
-    p["pos_emb"] = Tensor(
-        rng.normal(0.0, 0.02, size=(config.seq_len, d)).astype(np.float32),
-        requires_grad=True)
+def param_shapes(config: EncoderConfig) -> dict:
+    """Every parameter's name and shape, in the order `init_params` draws
+    them; a checkpoint's encoder arrays are checked against it."""
+    d, hid = config.dim, config.dim * config.mlp_ratio
+    shapes = {"patch_proj.w": (config.patch_size * config.channels, d),
+              "patch_proj.b": (d,), "pos_emb": (config.seq_len, d)}
     for i in range(config.depth):
-        pre = f"block{i}."
-        ones(pre + "norm1.g", (d,)); zeros(pre + "norm1.b", (d,))
-        weight(pre + "attn.wq", (d, d)); zeros(pre + "attn.bq", (d,))
-        weight(pre + "attn.wk", (d, d)); zeros(pre + "attn.bk", (d,))
-        weight(pre + "attn.wv", (d, d)); zeros(pre + "attn.bv", (d,))
-        weight(pre + "attn.wo", (d, d)); zeros(pre + "attn.bo", (d,))
-        ones(pre + "norm2.g", (d,)); zeros(pre + "norm2.b", (d,))
-        weight(pre + "mlp.w1", (d, d * config.mlp_ratio))
-        zeros(pre + "mlp.b1", (d * config.mlp_ratio,))
-        weight(pre + "mlp.w2", (d * config.mlp_ratio, d))
-        zeros(pre + "mlp.b2", (d,))
-    ones("final_norm.g", (d,)); zeros("final_norm.b", (d,))
+        block = {"norm1.g": (d,), "norm1.b": (d,)}
+        for x in "qkvo":
+            block.update({f"attn.w{x}": (d, d), f"attn.b{x}": (d,)})
+        block.update({"norm2.g": (d,), "norm2.b": (d,), "mlp.w1": (d, hid),
+                      "mlp.b1": (hid,), "mlp.w2": (hid, d), "mlp.b2": (d,)})
+        shapes.update({f"block{i}.{k}": v for k, v in block.items()})
+    shapes.update({"final_norm.g": (d,), "final_norm.b": (d,)})
+    return shapes
+
+
+def init_params(config: EncoderConfig, seed: int) -> dict:
+    """Named parameter dict, deterministic given the seed: matrices truncated
+    normal, `pos_emb` normal, layernorm gains ones, other vectors zeros."""
+    rng = np.random.default_rng(seed)
+    p = {}
+    for name, shape in param_shapes(config).items():
+        if name == "pos_emb":
+            a = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+        elif len(shape) == 2:
+            a = _trunc_normal(rng, shape)
+        else:
+            a = np.full(shape, float(name.endswith(".g")), np.float32)
+        p[name] = Tensor(a, requires_grad=True)
     return p
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import psp
 from . import surface as surf
-from .train import Model, activations, normalized
+from .train import Model, activations, normalized, predicted_positive
 
 
 class ExplainError(ValueError):
@@ -58,7 +58,7 @@ def group_mean_map(samples: list, model: Model,
         raise ExplainError("group filter matched no samples")
     maps = activations(model, normalized(group, model))
     if predicted_correct is not None:
-        correct = (maps.sum(axis=-1) >= 0.5) == \
+        correct = predicted_positive(maps.sum(axis=-1)) == \
             np.array([s.label == 1 for s in group])
         maps = maps[correct == predicted_correct]
         if not len(maps):

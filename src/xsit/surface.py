@@ -337,7 +337,7 @@ def load_dataset(manifest_path: str):
 def normalize(sample: SurfaceSample, stats: dict,
               channels: list) -> SurfaceSample:
     """Per-channel z-normalization with (training-split) statistics."""
-    feats = sample.features.astype(np.float32).copy()
+    feats = sample.features.astype(np.float32)
     for ci, name in enumerate(channels):
         s = stats[name]
         feats[:, ci] = (feats[:, ci] - s["mean"]) / s["std"]

@@ -31,7 +31,6 @@ FIELDS = {
     "noise_sigma": (float, lambda v: v >= 0, ">= 0"),
     "counts": (dict, None, ""),
     "positive_fraction": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "misaligned_lesion": (bool, None, ""),
     "seed": (int, lambda v: v >= 0, ">= 0"),
 }
 
@@ -53,7 +52,6 @@ class SynthSpec:
     counts: dict = field(default_factory=lambda: {"train": 200, "val": 50,
                                                   "test": 50})
     positive_fraction: float = 0.5
-    misaligned_lesion: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -118,44 +116,21 @@ def _baseline_fields(spec: SynthSpec, vertices: np.ndarray) -> np.ndarray:
 
 def lesion_vertices(spec: SynthSpec,
                     partition: surf.PatchPartition) -> np.ndarray:
-    """Vertex indices (per full V_total indexing) covered by the lesion."""
-    v = surf.vertex_count(spec.mesh_order)
-    idx = set()
-    n = partition.n_patches
-    for patch in spec.lesion_patches:
-        hemi, local = divmod(patch, n)
-        verts = partition.patch_vertex_indices[local]
-        if spec.misaligned_lesion:
-            verts = _shifted_patch(partition, local)
-        idx.update(int(i) + hemi * v for i in verts)
-    return np.array(sorted(idx), dtype=np.int64)
-
-
-def _shifted_patch(partition: surf.PatchPartition, patch: int) -> np.ndarray:
-    """Vertices within the patch's angular radius of a half-patch-offset
-    centroid; exercises robustness to lesion/patch misalignment."""
-    mesh = partition.mesh
-    own = partition.patch_vertex_indices[patch]
-    centroid = mesh.vertices[own].mean(axis=0)
-    centroid /= np.linalg.norm(centroid)
-    radius = np.arccos(np.clip(mesh.vertices[own] @ centroid, -1, 1)).max()
-    # offset direction: toward the first vertex of the patch
-    target = mesh.vertices[own[0]]
-    offset = centroid + 0.5 * (target - centroid)
-    offset /= np.linalg.norm(offset)
-    ang = np.arccos(np.clip(mesh.vertices @ offset, -1, 1))
-    return np.nonzero(ang <= radius)[0]
+    """Sorted vertex indices (per full V_total indexing) covered by the
+    lesion, read off the partition's one patch-to-vertex map."""
+    ids = surf._vertex_ids(partition, spec.hemispheres)
+    return np.unique(ids[spec.lesion_patches])
 
 
 def generate(spec: SynthSpec, out_dir: str) -> str:
     """Write manifest + per-subject raw feature files; returns the manifest
-    path. Byte-deterministic given the spec. Nothing is written if the
-    manifest fails `load_dataset`'s check, as a constant channel does."""
+    path. Byte-deterministic given the spec. Every subject is made first,
+    and nothing is written if `load_dataset` would refuse the data: a
+    non-finite value, as a spec that overflows float32 makes, or a manifest
+    that fails its check, as a constant channel does."""
     partition = surf.build_partition(spec.mesh_order, spec.patch_order)
     mesh = partition.mesh
     v_total = mesh.n_vertices * spec.hemispheres
-    baseline = np.tile(_baseline_fields(spec, mesh.vertices),
-                       (spec.hemispheres, 1))
     lesion_idx = lesion_vertices(spec, partition)
     channels = [f"ch{c}" for c in range(spec.channels)]
     channels[0] = "thickness"
@@ -177,17 +152,25 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
             feats[lesion_idx, 0] -= spec.delta * spec.noise_sigma
         return feats.astype(np.float32)
 
-    train = [surf.SurfaceSample(s["id"], s["label"], features(i))
-             for i, s in enumerate(subjects[:spec.counts["train"]])]
-    stats = surf.compute_stats(train, channels)
+    # an overflow is found by the checks below, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline = np.tile(_baseline_fields(spec, mesh.vertices),
+                           (spec.hemispheres, 1))
+        made = [features(i) for i in range(len(subjects))]
+        train = [surf.SurfaceSample(s["id"], s["label"], feats)
+                 for s, feats in zip(subjects, made) if s["split"] == "train"]
+        stats = surf.compute_stats(train, channels)
+    for s, feats in zip(subjects, made):
+        if not np.isfinite(feats).all():
+            raise surf.SurfaceError(f"the data it makes: subject {s['id']}: "
+                                    f"non-finite feature values")
     manifest = surf.DatasetManifest(
         mesh_order=spec.mesh_order, patch_order=spec.patch_order,
         hemispheres=spec.hemispheres, channels=channels, stats=stats,
         subjects=subjects)
     surf.check_dataset_fields(manifest.to_dict(), "the data it makes: ")
     os.makedirs(out_dir, exist_ok=True)
-    for i, s in enumerate(subjects):
-        feats = train[i].features if i < len(train) else features(i)
+    for s, feats in zip(subjects, made):
         surf.save_sample(os.path.join(out_dir, s["path"]), feats)
     manifest_path = os.path.join(out_dir, "manifest.json")
     surf._atomic_write(manifest_path,

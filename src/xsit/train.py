@@ -7,7 +7,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,20 +30,22 @@ class MetricsReport:
     fp: int
     tn: int
     fn: int
-    probabilities: list = field(default_factory=list)
 
 
-def compute_metrics(probs: np.ndarray, labels: np.ndarray,
-                    threshold: float = 0.5) -> MetricsReport:
-    pred = probs >= threshold
+def predicted_positive(probs: np.ndarray) -> np.ndarray:
+    """The one rule for a positive prediction: probability >= 0.5."""
+    return probs >= 0.5
+
+
+def compute_metrics(probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
+    pred = predicted_positive(probs)
     y = labels.astype(bool)
     tp = int(np.sum(pred & y)); fp = int(np.sum(pred & ~y))
     tn = int(np.sum(~pred & ~y)); fn = int(np.sum(~pred & y))
     tpr = tp / (tp + fn) if tp + fn else 0.0
     tnr = tn / (tn + fp) if tn + fp else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-    return MetricsReport(bacc=(tpr + tnr) / 2, f1=f1, tp=tp, fp=fp, tn=tn,
-                         fn=fn, probabilities=[float(p) for p in probs])
+    return MetricsReport((tpr + tnr) / 2, f1, tp, fp, tn, fn)
 
 
 def class_weights(labels) -> tuple:
@@ -90,7 +92,6 @@ class Model:
     channels = _from_meta("channels")
     stats = _from_meta("stats")
     rectify_prototypes = _from_meta("rectify_prototypes")
-    class_restricted_projection = _from_meta("class_restricted_projection")
 
     def trainable(self) -> dict:
         out = dict(self.params)
@@ -114,8 +115,9 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     wrapped arrays, from `meta`. `arrays` maps names to arrays whose names
     and shapes must be the model's, or draws them from the EncoderConfig;
     `provenance` has one entry per prototype (None: never projected).
-    Every meta key the Model reads must be present with its type; the
-    config sections go through the config's own checks."""
+    Every meta key the Model reads must be present with its type, and any
+    other is ignored; the config sections go through the config's own
+    checks."""
     try:
         surf.check_dataset_fields(meta)
         surf.check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
@@ -136,7 +138,7 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     except ValueError as e:
         raise TrainError(f"{source}: {e}") from e
     arrays = arrays(ecfg) if callable(arrays) else arrays
-    shapes = {k: t.shape for k, t in enc.init_params(ecfg, 0).items()}
+    shapes = enc.param_shapes(ecfg)
     shapes.update({"psp.xi": (n_total, ecfg.dim), "psp.logits": (n_total,)})
     for name in sorted(shapes.keys() | arrays.keys()):
         got = f"shape {arrays[name].shape}" if name in arrays else "nothing"
@@ -192,10 +194,8 @@ def predict_probs(model: Model, samples) -> np.ndarray:
     return activations(model, samples).sum(axis=-1)
 
 
-def evaluate(model: Model, samples,
-             normalize_inputs: bool = True) -> MetricsReport:
-    prepared = normalized(samples, model) if normalize_inputs else samples
-    probs = predict_probs(model, prepared)
+def evaluate(model: Model, samples) -> MetricsReport:
+    probs = predict_probs(model, normalized(samples, model))
     labels = np.array([s.label for s in samples])
     return compute_metrics(probs, labels)
 
@@ -224,11 +224,9 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     model = init_model(cfg, manifest)
     part = model.partition()
     train_samples = normalized(splits["train"], model)
-    val_samples = normalized(splits["val"], model)
     labels = np.array([s.label for s in splits["train"]])
     cw = class_weights(labels) if tcfg["class_weighted"] else (1.0, 1.0)
-    candidates = [s for s in train_samples
-                  if s.label == 1 or not model.class_restricted_projection]
+    candidates = [s for s in train_samples if s.label == 1]
     if not candidates:
         raise TrainError("no projection candidates in the training split")
 
@@ -272,7 +270,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
             losses.append(loss.item())
         if (epoch + 1) % tcfg["projection_period"] == 0:
             project(epoch=epoch)
-        val = evaluate(model, val_samples, normalize_inputs=False)
+        val = evaluate(model, splits["val"])
         history.append((epoch, float(np.mean(losses)), val.bacc, val.f1))
         # later epoch wins ties: with an easily saturated validation set the
         # earliest tied checkpoint is undertrained and its scaler diffuse
@@ -281,7 +279,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     if tcfg["epochs"] > 0:
         _restore(model, best[2])
         project(epoch=best[1])
-        val = evaluate(model, val_samples, normalize_inputs=False)
+        val = evaluate(model, splits["val"])
         history.append(("final", "", val.bacc, val.f1))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -28,7 +28,8 @@ def workspace(tmp_path_factory):
     assert cli.main(["gen-data", "--spec", str(spec_path),
                      "--out", str(data)]) == 0
     run = ws / "run"
-    args = ["train", "--data", str(data), "--out", str(run), "--seed", "0"]
+    args = ["train", "--data", str(data), "--out", str(run),
+            "--set", "train.seed=0"]
     for s in TRAIN_SETS:
         args += ["--set", s]
     assert cli.main(args) == 0
@@ -50,8 +51,7 @@ class TestGenData:
         ('{"counts": {"train": 4, "val": 2.5, "test": 1}}',
          "key 'counts.val' needs an integer, got 2.5"),
         ('{"mesh_order": "2"}', "key 'mesh_order' needs an integer, got '2'"),
-        ('{"misaligned_lesion": 1}',
-         "key 'misaligned_lesion' needs true or false, got 1"),
+        ('{"misaligned_lesion": false}', "unknown key 'misaligned_lesion'"),
         ('{"delta": "3"}', "key 'delta' needs a number, got '3'"),
         ('{"lesion_patches": 3}', "key 'lesion_patches' needs a list"),
         ('{"lesion_patches": [3, 1.5]}',
@@ -119,6 +119,14 @@ class TestTrain:
                        "--set", "train.class_weighted=no"])
         assert rc == 1
         assert "train.class_weighted" in capsys.readouterr().err
+
+    def test_seed_is_set_through_set_only(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", "--data", data, "--out", str(tmp_path),
+                      "--seed", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_malformed_override(self, workspace, capsys):
         _, data, _ = workspace
@@ -281,6 +289,30 @@ class TestCheckpointDefects:
 
 
 class TestDatasetDefects:
+    def test_empty_split(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        edit_json(bad / "manifest.json", lambda d: d.update(subjects=[
+            s for s in d["subjects"] if s["split"] != "test"]))
+        rc = cli.main(["eval", "--checkpoint", os.path.join(run, "model.xck"),
+                       "--data", str(bad), "--split", "test"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: split 'test' is empty\n"
+
+    def test_subject_holding_nan(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        feats = np.fromfile(bad / "s0003.f32", dtype="<f4")
+        feats[5] = np.nan
+        feats.tofile(bad / "s0003.f32")
+        rc = cli.main(["eval", "--checkpoint", os.path.join(run, "model.xck"),
+                       "--data", str(bad), "--split", "test"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad / 's0003.f32'}: non-finite feature values\n")
+
     def test_manifest_without_stats(self, workspace, tmp_path, capsys):
         _, data, run = workspace
         bad = tmp_path / "data"
@@ -336,10 +368,21 @@ INPUT_DEFECTS = {
     "set-weight_decay-nan": (None, "train.weight_decay=NaN",
                              ["train.weight_decay"]),
     "set-seed-negative": (None, "train.seed=-1", ["train.seed"]),
+    "config-retired-switch": ("config", {"psp": {
+        "class_restricted_projection": True}},
+        ["unknown config key 'psp.class_restricted_projection'"]),
+    "set-retired-switch": (None, "psp.class_restricted_projection=true",
+                           ["unknown config key "
+                            "'psp.class_restricted_projection'"]),
     "spec-delta-nan": ("spec", dict(SPEC, delta=NAN), ["key 'delta'"]),
     "spec-constant-channel": ("spec", dict(SPEC, noise_sigma=0,
                                            baseline_amplitude=0),
                               ["stats.thickness", "key 'std'"]),
+    "spec-delta-overflow": ("spec", dict(
+        mesh_order=2, patch_order=1, channels=2, lesion_patches=[3],
+        delta=1e300, counts={"train": 1, "val": 3, "test": 1},
+        positive_fraction=0.4, seed=1),
+        ["subject s0001: non-finite feature values"]),
     "manifest-std-zero": ("manifest", set_std(0),
                           ["stats.thickness", "key 'std'"]),
     "manifest-std-negative": ("manifest", set_std(-1),
@@ -357,6 +400,7 @@ class TestEveryInputNamesItsSourceAndKey:
     line that names the file, or --set, and the key, and exit 1."""
 
     @pytest.mark.parametrize("defect", INPUT_DEFECTS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_error_line_and_exit_1(self, workspace, tmp_path, capsys,
                                    defect):
         _, data, run = workspace
@@ -488,6 +532,23 @@ class TestExplain:
         assert err == (f"error: --channel {channel}: the model has 2 "
                        "channels, 0 to 1\n")
         assert not out.exists()
+
+    def test_prototypes_of_unprojected_checkpoint(self, workspace, tmp_path,
+                                                  capsys):
+        _, data, _ = workspace
+        run = tmp_path / "run"
+        args = ["train", "--data", data, "--out", str(run)]
+        for s in TRAIN_SETS + ["train.epochs=0"]:
+            args += ["--set", s]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        rc = cli.main(["explain", "--checkpoint", str(run / "model.xck"),
+                       "--data", data, "--mode", "prototypes",
+                       "--out", str(tmp_path / "px")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: patch 0: no provenance (checkpoint was never "
+            "projected)\n")
 
 
 class TestMesh:

@@ -76,7 +76,6 @@ def valid_overrides(draw):
         "encoder.depth": draw(st.integers(0, 6)),
         "encoder.mlp_ratio": draw(st.integers(1, 8)),
         "encoder.dropout": draw(st.floats(0.0, 1.0, exclude_max=True)),
-        "psp.class_restricted_projection": draw(st.booleans()),
         "psp.rectify_prototypes": draw(st.booleans()),
         "train.epochs": draw(st.integers(0, 1000)),
         "train.batch_size": draw(st.integers(1, 512)),

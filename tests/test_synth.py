@@ -121,15 +121,3 @@ class TestGenerate:
         with open(d1 / "s0000.f32", "rb") as a, \
              open(d2 / "s0000.f32", "rb") as b:
             assert a.read() != b.read()
-
-
-class TestMisalignedLesion:
-    def test_shifted_vertices_differ_from_patch(self):
-        spec = synth.SynthSpec(**{**SMALL, "misaligned_lesion": True})
-        aligned = synth.SynthSpec(**SMALL)
-        partition = surf.build_partition(spec.mesh_order, spec.patch_order)
-        shifted = set(synth.lesion_vertices(spec, partition).tolist())
-        plain = set(synth.lesion_vertices(aligned, partition).tolist())
-        assert shifted != plain
-        # still overlapping: it's a shift, not a relocation
-        assert shifted & plain

@@ -54,11 +54,6 @@ class TestMetrics:
         tnr = np.mean(~pred[labels == 0])
         assert m.bacc == pytest.approx((tpr + tnr) / 2)
 
-    def test_threshold(self):
-        m = train.compute_metrics(np.array([0.4, 0.6]), np.array([1, 0]),
-                                  threshold=0.3)
-        assert m.tp == 1 and m.fp == 1
-
 
 class TestClassWeights:
     def test_balanced_is_unit(self):
@@ -131,7 +126,7 @@ class TestTrainRun:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    [:16] for f in ("model.xck", "model.xck.provenance.json",
                                    "metrics.csv")}
-        assert digests == {"model.xck": "8b2ba83d1fcb5704",
+        assert digests == {"model.xck": "63e319aa277b8a92",
                            "model.xck.provenance.json": "f34ac6915f256904",
                            "metrics.csv": "a4984c39db996a39"}
 
@@ -230,6 +225,39 @@ class TestCheckpoint:
             side = json.load(f)
         assert len(side) == model.bank.xi.data.shape[0]
 
+    def test_load_draws_no_model(self, tiny_data, tmp_path, monkeypatch):
+        """The arrays are checked against the encoder's shape list; no
+        throwaway model is drawn to learn them."""
+        manifest, samples = tiny_data
+        model = train.init_model(small_config(), manifest)
+        path = str(tmp_path / "m.xck")
+        train.save_checkpoint(path, model)
+
+        def refuse(*args):
+            raise AssertionError("a checkpoint load drew a model")
+
+        monkeypatch.setattr(train.enc, "init_params", refuse)
+        again = train.load_checkpoint(path)
+        assert again.trainable().keys() == model.trainable().keys()
+        test = train.normalized(samples["test"], model)
+        assert (train.predict_probs(again, test).tobytes()
+                == train.predict_probs(model, test).tobytes())
+
+    def test_retired_switch_in_meta_is_ignored(self, tiny_data, tmp_path):
+        """A checkpoint whose meta still holds the retired
+        `class_restricted_projection` switch predicts as before."""
+        manifest, samples = tiny_data
+        model, _ = train.train_run(small_config(epochs=1), manifest, samples)
+        path = str(tmp_path / "m.xck")
+        train.save_checkpoint(path, model)
+        test = train.normalized(samples["test"], model)
+        before = train.predict_probs(train.load_checkpoint(path), test)
+        arrays, meta = load_arrays(path)
+        meta["class_restricted_projection"] = True
+        save_arrays(path, arrays, meta)
+        after = train.predict_probs(train.load_checkpoint(path), test)
+        assert after.tobytes() == before.tobytes()
+
 
 class TestCheckpointDefects:
     """A checkpoint whose arrays or sidecar do not fit its meta fails in
@@ -320,8 +348,6 @@ class TestCheckpointDefects:
          "stats.thickness: key 'mean' must be a number, got inf"),
         (lambda m: m.pop("rectify_prototypes"),
          "missing key 'rectify_prototypes'"),
-        (lambda m: m.update(class_restricted_projection=1),
-         "config key 'psp.class_restricted_projection' needs true or false"),
         (lambda m: m.pop("encoder"), "key 'encoder' must be an object"),
         (lambda m: m.update(encoder=[16]), "key 'encoder' must be an object"),
         (lambda m: m["encoder"].update(width=3),
