@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import explain as expl
 from . import surface as surf
@@ -92,76 +93,84 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _read(args, stats: bool = False):
+    """The model at --checkpoint and the splits at --data. The data must
+    fit the model: same mesh and patch orders, hemispheres and channels,
+    and with `stats` the same training statistics."""
     model = tr.load_checkpoint(args.checkpoint)
-    _, splits = surf.load_dataset(os.path.join(args.data, "manifest.json"))
+    path = os.path.join(args.data, "manifest.json")
+    manifest, splits = surf.load_dataset(path)
+    keys = ["mesh_order", "patch_order", "hemispheres", "channels"]
+    for key in keys + ["stats"] * stats:
+        want, got = getattr(model, key), getattr(manifest, key)
+        if got != want:
+            raise ValueError(f"{path}: key '{key}' must be the model's "
+                             f"{want!r}, got {got!r}")
+    return model, splits
+
+
+def _cmd_eval(args) -> int:
+    model, splits = _read(args)
     if not splits[args.split]:
-        print(f"error: split '{args.split}' is empty", file=sys.stderr)
-        return 1
+        raise ValueError(f"split '{args.split}' is empty")
     report = tr.evaluate(model, splits[args.split])
-    print(json.dumps({"split": args.split, "bacc": report.bacc,
-                      "f1": report.f1, "tp": report.tp, "fp": report.fp,
-                      "tn": report.tn, "fn": report.fn}, sort_keys=True))
+    print(json.dumps({"split": args.split, **asdict(report)},
+                     sort_keys=True))
     return 0
 
 
 def _cmd_explain(args) -> int:
-    model = tr.load_checkpoint(args.checkpoint)
-    n = len(model.channels)
-    if args.mode == "prototypes" and not 0 <= args.channel < n:
-        print(f"error: --channel {args.channel}: the model has {n} "
-              f"channels, 0 to {n - 1}", file=sys.stderr)
-        return 1
-    _, splits = surf.load_dataset(os.path.join(args.data, "manifest.json"))
-    os.makedirs(args.out, exist_ok=True)
-    mesh = model.part.mesh
-
-    def write_surface(name, per_vertex, scalar_name):
-        """One PLY per hemisphere; a single hemisphere gets no suffix."""
-        v = mesh.n_vertices
-        for h in range(model.hemispheres):
-            suffix = f".hemi{h}" if model.hemispheres > 1 else ""
-            surf.write_ply(os.path.join(args.out, f"{name}{suffix}.ply"),
-                           mesh, per_vertex[h * v:(h + 1) * v],
-                           scalar_name=scalar_name)
-
-    def export(name, per_patch, per_vertex):
-        expl.write_patch_csv(os.path.join(args.out, name + ".csv"),
-                             per_patch, model)
-        write_surface(name, per_vertex, "activation")
-
+    # `prototypes` reads training subjects by id, so the data must be the
+    # model's own, whose stats name the training split they came from
+    model, splits = _read(args, stats=args.mode == "prototypes")
+    maps, scalar = [], "activation"  # (name, per-patch or None, per-vertex)
     if args.mode == "individual":
         samples = splits[args.split]
         if args.subject is not None:
             samples = [s for s in samples if s.subject_id == args.subject]
         if not samples:
-            print("error: no matching sample", file=sys.stderr)
-            return 1
+            raise ValueError("no matching sample")
         for s in samples:
             per_patch, per_vertex, _ = expl.activation_map(s, model)
-            export(f"activation_{s.subject_id}", per_patch, per_vertex)
-        print(f"wrote {len(samples)} activation map(s) to {args.out}")
+            maps.append((f"activation_{s.subject_id}", per_patch, per_vertex))
+        done = f"wrote {len(samples)} activation map(s) to {args.out}"
     elif args.mode == "group":
-        per_patch, per_vertex = expl.group_mean_map(
-            splits[args.split], model, true_label=1,
-            predicted_correct=True)
-        export("group_mean_activation", per_patch, per_vertex)
-        print(f"wrote group mean map to {args.out}")
+        maps.append(("group_mean_activation",
+                     *expl.group_mean_map(splits[args.split], model)))
+        done = f"wrote group mean map to {args.out}"
     elif args.mode == "prototypes":
-        per_vertex = expl.export_prototype_surface(
-            model, splits["train"], args.channel)
-        write_surface(f"prototype_{model.channels[args.channel]}",
-                      per_vertex, "feature")
-        print(f"wrote stitched prototype surface to {args.out}")
+        n = len(model.channels)
+        if not 0 <= args.channel < n:
+            raise ValueError(f"--channel {args.channel}: the model has {n} "
+                             f"channels, 0 to {n - 1}")
+        maps.append((f"prototype_{model.channels[args.channel]}", None,
+                     expl.export_prototype_surface(model, splits["train"],
+                                                   args.channel)))
+        scalar = "feature"
+        done = f"wrote stitched prototype surface to {args.out}"
     else:  # overlap
         models = [model] + [tr.load_checkpoint(c)
                             for c in args.extra_checkpoints]
         pct = expl.prototype_overlap(models)
+        report = json.dumps({"overlap_percent": pct, "models": len(models)})
         out_path = os.path.join(args.out, "overlap.json")
-        surf._atomic_write(out_path, json.dumps(
-            {"overlap_percent": pct, "models": 1 + len(
-                args.extra_checkpoints)}).encode())
-        print(f"overlap {pct:.1f}% -> {out_path}")
+        done = f"overlap {pct:.1f}% -> {out_path}"
+
+    os.makedirs(args.out, exist_ok=True)
+    if args.mode == "overlap":
+        surf._atomic_write(out_path, report.encode())
+    mesh, h = model.part.mesh, model.hemispheres
+    v = mesh.n_vertices
+    for name, per_patch, per_vertex in maps:
+        if per_patch is not None:
+            expl.write_patch_csv(os.path.join(args.out, name + ".csv"),
+                                 per_patch, model)
+        for i in range(h):  # a single hemisphere gets no suffix
+            suffix = f".hemi{i}" if h > 1 else ""
+            surf.write_ply(os.path.join(args.out, f"{name}{suffix}.ply"),
+                           mesh, per_vertex[i * v:(i + 1) * v],
+                           scalar_name=scalar)
+    print(done)
     return 0
 
 
@@ -186,7 +195,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,8 @@ predicted probability, so the maps fully account for every prediction.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import psp
@@ -44,25 +46,14 @@ def vertex_map(per_patch: np.ndarray, partition: surf.PatchPartition,
     return surf.unpatchify(values, partition, hemispheres)
 
 
-def group_mean_map(samples: list, model: Model,
-                   true_label: int | None = None,
-                   predicted_correct: bool | None = None):
-    """Mean activation map over a filtered sample group.
-
-    Filters: true_label keeps samples with that label; predicted_correct
-    keeps samples whose thresholded prediction matches (or mismatches) the
-    label. Returns (per_patch mean, per_vertex mean)."""
-    group = [s for s in samples
-             if true_label is None or s.label == true_label]
-    if not group:
+def group_mean_map(samples: list, model: Model):
+    """Mean activation map over the positive samples the model classifies
+    correctly. Returns (per_patch mean, per_vertex mean)."""
+    group = [s for s in samples if s.label == 1]
+    maps = activations(model, normalized(group, model)) if group else []
+    maps = [m for m in maps if predicted_positive(m.sum())]
+    if not maps:
         raise ExplainError("group filter matched no samples")
-    maps = activations(model, normalized(group, model))
-    if predicted_correct is not None:
-        correct = predicted_positive(maps.sum(axis=-1)) == \
-            np.array([s.label == 1 for s in group])
-        maps = maps[correct == predicted_correct]
-        if not len(maps):
-            raise ExplainError("group filter matched no samples")
     mean = np.mean(maps, axis=0)
     return mean, vertex_map(mean, model.partition(), model.hemispheres)
 
@@ -92,27 +83,23 @@ def export_prototype_surface(model: Model, train_samples: list,
 
 def prototype_overlap(models: list) -> float:
     """Mean pairwise provenance agreement (percent) over patches active in
-    at least one model of the pair."""
+    at least one model of the pair: a patch agrees when it is active in
+    both and both name the same source subject."""
     if len(models) < 2:
         raise ExplainError("overlap needs at least two checkpoints")
     shapes = {(m.mesh_order, m.patch_order, m.hemispheres) for m in models}
     if len(shapes) > 1:
         raise ExplainError("checkpoints use different partitions")
-    actives, provs = [], []
-    for m in models:
-        w = psp.sparse_weights(m.scaler.logits).data
-        actives.append(w > 0.0)
-        provs.append([p[0] if p is not None else None
-                      for p in m.bank.provenance])
+    actives = [psp.sparse_weights(m.scaler.logits).data > 0.0
+               for m in models]
+    sources = [np.array([p and p[0] for p in m.bank.provenance], object)
+               for m in models]
     pair_scores = []
-    for a in range(len(models)):
-        for b in range(a + 1, len(models)):
-            union = np.nonzero(actives[a] | actives[b])[0]
-            agree = sum(
-                1 for i in union
-                if actives[a][i] and actives[b][i]
-                and provs[a][i] is not None and provs[a][i] == provs[b][i])
-            pair_scores.append(agree / len(union) if len(union) else 1.0)
+    for a, b in itertools.combinations(range(len(models)), 2):
+        union = actives[a] | actives[b]
+        agree = (actives[a] & actives[b] & (sources[a] == sources[b])
+                 & np.not_equal(sources[a], None))
+        pair_scores.append(agree.sum() / union.sum() if union.any() else 1.0)
     return 100.0 * float(np.mean(pair_scores))
 
 

@@ -179,12 +179,6 @@ class Tensor:
     __truediv__ = div
     __neg__ = neg
 
-    def __radd__(self, other):
-        return self.add(other)
-
-    def __rmul__(self, other):
-        return self.mul(other)
-
     def __rsub__(self, other):
         return self._coerce(other).sub(self)
 
@@ -357,13 +351,12 @@ class Tensor:
 
         def backward(g):
             # d cos/du = v/(nu nv) - cos * u/nu^2, chained through the ReLU
-            cn = np.where(valid, c, 0.0)
             du = (g * valid)[..., None] * (
                 v / denom[..., None]
-                - (cn / np.where(nu > 0, nu * nu, 1.0))[..., None] * u)
+                - (c / np.where(nu > 0, nu * nu, 1.0))[..., None] * u)
             dv = (g * valid)[..., None] * (
                 u / denom[..., None]
-                - (cn / np.where(nv > 0, nv * nv, 1.0))[..., None] * v)
+                - (c / np.where(nv > 0, nv * nv, 1.0))[..., None] * v)
             self._accum(_reduce_to_shape(du * (self.data > 0), self.shape))
             vmask = (proto.data > 0) if rectify_proto else \
                 np.ones_like(proto.data, dtype=bool)

@@ -235,8 +235,7 @@ class TestCriterion5:
         mask = synth.lesion_ground_truth(synth.SynthSpec(**BENCH)) == 1
         fracs = []
         for seed, model, _, _, _ in runs:
-            per_patch, _ = explain.group_mean_map(
-                splits["test"], model, true_label=1, predicted_correct=True)
+            per_patch, _ = explain.group_mean_map(splits["test"], model)
             fracs.append(per_patch[mask].sum() / per_patch.sum())
         ok = all(f >= 0.60 for f in fracs)
         report("criterion 5", ok,

@@ -442,6 +442,62 @@ class TestEveryInputNamesItsSourceAndKey:
         assert not out.exists()
 
 
+# data that does not fit the workspace model: manifest key it differs in ->
+# the spec that makes it
+MISFITS = {"channels": dict(SPEC, channels=3),
+           "mesh_order": dict(SPEC, mesh_order=3),
+           "stats": dict(SPEC, seed=4)}
+
+
+@pytest.fixture(scope="module")
+def misfit_data(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("misfit")
+    for key, spec in MISFITS.items():
+        (ws / f"{key}.json").write_text(synth.SynthSpec(**spec).to_json())
+        assert cli.main(["gen-data", "--spec", str(ws / f"{key}.json"),
+                         "--out", str(ws / key)]) == 0
+    return {key: str(ws / key) for key in MISFITS}
+
+
+def read_args(run, data, command, out):
+    ckpt = os.path.join(run, "model.xck")
+    if command == "eval":
+        return ["eval", "--checkpoint", ckpt, "--data", data,
+                "--split", "test"]
+    return ["explain", "--checkpoint", ckpt, "--data", data, "--mode",
+            command, "--out", str(out)]
+
+
+class TestDataMustFitTheModel:
+    """A read command stops with one error line naming the manifest and
+    the key when the data does not fit the model, and writes nothing."""
+
+    @pytest.mark.parametrize("key,command", [
+        ("channels", "eval"), ("channels", "individual"),
+        ("mesh_order", "eval"), ("mesh_order", "individual"),
+        ("stats", "prototypes")])
+    def test_error_line_and_exit_1(self, workspace, misfit_data, tmp_path,
+                                   capsys, key, command):
+        _, _, run = workspace
+        out = tmp_path / "out"
+        rc = cli.main(read_args(run, misfit_data[key], command, out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        manifest = os.path.join(misfit_data[key], "manifest.json")
+        assert err.startswith(f"error: {manifest}: key '{key}' must be "
+                              "the model's ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "individual", "group"])
+    def test_other_stats_are_read_with_the_models(self, workspace,
+                                                 misfit_data, tmp_path,
+                                                 command):
+        _, _, run = workspace
+        assert cli.main(read_args(run, misfit_data["stats"], command,
+                                  tmp_path / "out")) == 0
+
+
 class TestExplain:
     def test_individual(self, workspace, tmp_path, capsys):
         _, data, run = workspace
@@ -486,11 +542,31 @@ class TestExplain:
 
     def test_unknown_subject(self, workspace, tmp_path, capsys):
         _, data, run = workspace
+        out = tmp_path / "nx"
         rc = cli.main(["explain", "--checkpoint",
                        os.path.join(run, "model.xck"), "--data", data,
                        "--mode", "individual", "--subject", "nobody",
-                       "--out", str(tmp_path / "nx")])
+                       "--out", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err == "error: no matching sample\n"
+        assert not out.exists()
+
+    def test_group_without_correct_positives(self, workspace, tmp_path,
+                                             capsys):
+        _, data, run = workspace
+        controls = tmp_path / "data"
+        shutil.copytree(data, controls)
+        edit_json(controls / "manifest.json", lambda d: d.update(subjects=[
+            s for s in d["subjects"]
+            if s["split"] != "test" or s["label"] == 0]))
+        out = tmp_path / "gx"
+        rc = cli.main(["explain", "--checkpoint",
+                       os.path.join(run, "model.xck"), "--data",
+                       str(controls), "--mode", "group", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: group filter matched no samples\n")
+        assert not out.exists()
 
     def test_single_subject_bytes_match_split_run(self, workspace, tmp_path):
         _, data, run = workspace
@@ -542,13 +618,15 @@ class TestExplain:
             args += ["--set", s]
         assert cli.main(args) == 0
         capsys.readouterr()
+        out = tmp_path / "px"
         rc = cli.main(["explain", "--checkpoint", str(run / "model.xck"),
                        "--data", data, "--mode", "prototypes",
-                       "--out", str(tmp_path / "px")])
+                       "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: patch 0: no provenance (checkpoint was never "
             "projected)\n")
+        assert not out.exists()
 
 
 class TestMesh:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,13 +84,17 @@ class TestVertexMap:
 
 class TestGroupMean:
     def test_label_filter(self, trained):
+        # the group is the positives the model classifies correctly; a
+        # control relabelled positive is misclassified and stays out
         spec, model, samples = trained
-        pos, _ = explain.group_mean_map(samples["test"], model, true_label=1)
-        neg, _ = explain.group_mean_map(samples["test"], model, true_label=0)
+        control = next(s for s in samples["test"] if s.label == 0)
+        mean, _ = explain.group_mean_map(
+            samples["test"] + [replace(control, label=1)], model)
         singles = [explain.activation_map(s, model)[0]
                    for s in samples["test"] if s.label == 1]
-        np.testing.assert_allclose(pos, np.mean(singles, axis=0), atol=1e-7)
-        assert not np.allclose(pos, neg)
+        keep = [m for m in singles if m.sum() >= 0.5]
+        assert keep
+        np.testing.assert_allclose(mean, np.mean(keep, axis=0), atol=1e-7)
 
     def test_empty_filter_raises(self, trained):
         spec, model, samples = trained
@@ -149,6 +155,33 @@ class TestOverlap:
         a = self._fake_model(trained, prov_a, logits)
         b = self._fake_model(trained, prov_b, logits)
         assert explain.prototype_overlap([a, b]) == pytest.approx(50.0)
+
+    def test_null_sources_do_not_agree(self, trained):
+        n = 80
+        logits = np.full(n, -10.0)
+        logits[:4] = 10.0  # patches 0-3 active, rest masked
+        prov = [None, None, "s0", "s1"] + ["s0"] * (n - 4)
+        a = self._fake_model(trained, prov, logits)
+        b = self._fake_model(trained, prov, logits)
+        assert explain.prototype_overlap([a, b]) == pytest.approx(50.0)
+
+    def test_matches_loop_reference(self, trained):
+        rng = np.random.default_rng(0)
+        n, models = 80, []
+        for _ in range(3):
+            logits = np.where(rng.random(n) < 0.5, 10.0, -10.0)
+            prov = [rng.choice([None, "s0", "s1"]) for _ in range(n)]
+            models.append(self._fake_model(trained, prov, logits))
+        scores = []
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            wa, wb = (m.scaler.logits.data > 0 for m in (models[a],
+                                                         models[b]))
+            pa, pb = (m.bank.provenance for m in (models[a], models[b]))
+            union = [i for i in range(n) if wa[i] or wb[i]]
+            agree = sum(1 for i in union if wa[i] and wb[i]
+                        and pa[i] is not None and pa[i] == pb[i])
+            scores.append(agree / len(union))
+        assert explain.prototype_overlap(models) == 100.0 * np.mean(scores)
 
     def test_needs_two(self, trained):
         _, model, _ = trained
