@@ -41,7 +41,8 @@ def _parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("explain", help="export explanations")
     x.add_argument("--checkpoint", required=True)
-    x.add_argument("--data", required=True)
+    x.add_argument("--data", default=None,
+                   help="dataset directory; --mode overlap reads none")
     x.add_argument("--mode", required=True,
                    choices=["individual", "group", "prototypes", "overlap"])
     x.add_argument("--out", required=True)
@@ -100,8 +101,7 @@ def _read(args, stats: bool = False):
     model = tr.load_checkpoint(args.checkpoint)
     path = os.path.join(args.data, "manifest.json")
     manifest, splits = surf.load_dataset(path)
-    keys = ["mesh_order", "patch_order", "hemispheres", "channels"]
-    for key in keys + ["stats"] * stats:
+    for key in (k for k in surf._DATASET if stats or k != "stats"):
         want, got = getattr(model, key), getattr(manifest, key)
         if got != want:
             raise ValueError(f"{path}: key '{key}' must be the model's "
@@ -120,9 +120,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    # `prototypes` reads training subjects by id, so the data must be the
-    # model's own, whose stats name the training split they came from
-    model, splits = _read(args, stats=args.mode == "prototypes")
+    if args.mode == "overlap":  # compares checkpoints only
+        model = tr.load_checkpoint(args.checkpoint)
+    elif args.data is None:
+        raise ValueError(f"--mode {args.mode} needs --data")
+    else:
+        # `prototypes` reads training subjects by id: the data must be the
+        # model's own, whose stats name the training split they came from
+        model, splits = _read(args, stats=args.mode == "prototypes")
     maps, scalar = [], "activation"  # (name, per-patch or None, per-vertex)
     if args.mode == "individual":
         samples = splits[args.split]

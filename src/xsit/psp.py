@@ -29,13 +29,6 @@ class PrototypeBank:
     xi: Tensor                     # N_total x D, learnable
     provenance: list = field(default_factory=list)  # per patch: None or (subject_id, epoch)
 
-    @classmethod
-    def init(cls, n_patches: int, dim: int, seed: int) -> "PrototypeBank":
-        rng = np.random.default_rng(seed)
-        xi = Tensor(rng.normal(0.0, 0.02, size=(n_patches, dim))
-                    .astype(np.float32), requires_grad=True)
-        return cls(xi=xi, provenance=[None] * n_patches)
-
 
 @dataclass
 class SparseScaler:

@@ -285,7 +285,7 @@ _DATASET = {
 _STATS = {"mean": (float, None, "a number"),
           "std": (float, lambda v: v > 0, "a number > 0")}
 _SUBJECT = {
-    "id": (str, None, "a string"),
+    "id": (str, lambda v: "/" not in v, "a string without '/'"),
     "label": (int, lambda v: v in (0, 1), "0 or 1"),
     "split": (str, lambda v: v in ("train", "val", "test"),
               "one of train, val, test"),
@@ -320,8 +320,13 @@ def load_dataset(manifest_path: str):
     where = f"{manifest_path}: "
     check_dataset_fields(d, where)
     subjects = check_fields(where, d, {"subjects": (list, None, "a list")})
+    ids = set()
     for i, entry in enumerate(subjects["subjects"]):
-        check_fields(f"{where}subject {i}: ", entry, _SUBJECT)
+        sid = check_fields(f"{where}subject {i}: ", entry, _SUBJECT)["id"]
+        if sid in ids:
+            raise SurfaceError(f"{where}subject {i}: key 'id' must be "
+                               f"unique, got {sid!r} again")
+        ids.add(sid)
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))

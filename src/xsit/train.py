@@ -79,7 +79,7 @@ def _from_meta(key: str) -> property:
 class Model:
     """Everything needed for inference, explanation, and checkpointing.
     `meta` is what the checkpoint stores besides the arrays."""
-    params: dict                   # encoder parameter tensors
+    params: dict                   # every array, by its checkpoint name
     enc_cfg: enc.EncoderConfig
     bank: psp.PrototypeBank
     scaler: psp.SparseScaler
@@ -92,12 +92,6 @@ class Model:
     channels = _from_meta("channels")
     stats = _from_meta("stats")
     rectify_prototypes = _from_meta("rectify_prototypes")
-
-    def trainable(self) -> dict:
-        out = dict(self.params)
-        out["psp.xi"] = self.bank.xi
-        out["psp.logits"] = self.scaler.logits
-        return out
 
     def partition(self) -> surf.PatchPartition:
         return self.part
@@ -151,8 +145,8 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
         raise TrainError(f"{source}: {len(provenance)} provenance entries "
                          f"for {n_total} prototypes")
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    bank = psp.PrototypeBank(params.pop("psp.xi"), provenance)
-    scaler = psp.SparseScaler(params.pop("psp.logits"))
+    bank = psp.PrototypeBank(params["psp.xi"], provenance)
+    scaler = psp.SparseScaler(params["psp.logits"])
     return Model(params=params, enc_cfg=ecfg, bank=bank, scaler=scaler,
                  part=part, meta=meta)
 
@@ -160,15 +154,14 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
 def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
     """A fresh model; its initial arrays are drawn from train.seed."""
     seed = cfg["train"]["seed"]
-    meta = {k: getattr(manifest, k) for k in
-            ("mesh_order", "patch_order", "hemispheres", "channels", "stats")}
+    meta = {k: getattr(manifest, k) for k in surf._DATASET}
     meta.update(cfg["psp"], encoder=dict(cfg["encoder"]),
                 config=copy.deepcopy(cfg))
 
     def draw(ecfg):
         arrays = {k: t.data for k, t in enc.init_params(ecfg, seed).items()}
-        arrays["psp.xi"] = psp.PrototypeBank.init(
-            ecfg.seq_len, ecfg.dim, seed + 1).xi.data
+        arrays["psp.xi"] = np.random.default_rng(seed + 1).normal(
+            0.0, 0.02, (ecfg.seq_len, ecfg.dim)).astype(np.float32)
         arrays["psp.logits"] = np.zeros(ecfg.seq_len, np.float32)
         return arrays
 
@@ -200,19 +193,6 @@ def evaluate(model: Model, samples) -> MetricsReport:
     return compute_metrics(probs, labels)
 
 
-def _snapshot(model: Model) -> dict:
-    return {
-        "arrays": {k: t.data.copy() for k, t in model.trainable().items()},
-        "provenance": copy.deepcopy(model.bank.provenance),
-    }
-
-
-def _restore(model: Model, snap: dict) -> None:
-    for k, t in model.trainable().items():
-        t.data = snap["arrays"][k].copy()
-    model.bank.provenance = copy.deepcopy(snap["provenance"])
-
-
 def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
               out_dir: str | None = None):
     """Train a model; returns (model, history rows). History rows are
@@ -238,10 +218,10 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
 
     patches_all = np.stack([surf.patchify(s, part, model.hemispheres)
                             for s in train_samples])
-    optim = AdamW(model.trainable(), lr=tcfg["lr"],
+    optim = AdamW(model.params, lr=tcfg["lr"],
                   weight_decay=tcfg["weight_decay"])
     history = []
-    best = None  # (bacc, epoch, snapshot)
+    best = None  # (bacc, epoch, arrays, provenance)
     if tcfg["epochs"] > 0:
         # initial projection: prototypes are real cases from the start, so
         # the scaler's early patch selection tracks true discriminability
@@ -275,10 +255,14 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         # later epoch wins ties: with an easily saturated validation set the
         # earliest tied checkpoint is undertrained and its scaler diffuse
         if best is None or val.bacc >= best[0]:
-            best = (val.bacc, epoch, _snapshot(model))
+            best = (val.bacc, epoch,
+                    {k: t.data.copy() for k, t in model.params.items()},
+                    list(model.bank.provenance))
     if tcfg["epochs"] > 0:
-        _restore(model, best[2])
-        project(epoch=best[1])
+        _, epoch, arrays, model.bank.provenance = best
+        for k, t in model.params.items():
+            t.data = arrays[k]
+        project(epoch=epoch)
         val = evaluate(model, splits["val"])
         history.append(("final", "", val.bacc, val.f1))
     if out_dir is not None:
@@ -303,12 +287,10 @@ def write_history_csv(path: str, history) -> None:
 def save_checkpoint(path: str, model: Model) -> None:
     """Write the arrays with the model's meta, and the provenance sidecar
     `<path>.provenance.json`; the two files travel together."""
-    save_arrays(path, {k: t.data for k, t in model.trainable().items()},
+    save_arrays(path, {k: t.data for k, t in model.params.items()},
                 model.meta)
-    sidecar = [list(p) if p is not None else None
-               for p in model.bank.provenance]
-    surf._atomic_write(path + ".provenance.json",
-                       json.dumps(sidecar, sort_keys=True).encode())
+    surf._atomic_write(path + ".provenance.json", json.dumps(
+        model.bank.provenance, sort_keys=True).encode())
 
 
 def load_checkpoint(path: str) -> Model:

@@ -540,6 +540,34 @@ class TestExplain:
             report = json.load(f)
         assert report["overlap_percent"] == 100.0
 
+    @pytest.mark.parametrize("data", ["nan-subject", "none"])
+    def test_overlap_reads_no_data(self, workspace, tmp_path, data):
+        _, good, run = workspace
+        ckpt = os.path.join(run, "model.xck")
+        args = ["explain", "--checkpoint", ckpt, "--mode", "overlap",
+                "--extra-checkpoints", ckpt, "--out", str(tmp_path / "ox")]
+        if data == "nan-subject":
+            bad = tmp_path / "data"
+            shutil.copytree(good, bad)
+            feats = np.fromfile(bad / "s0003.f32", dtype="<f4")
+            feats[5] = np.nan
+            feats.tofile(bad / "s0003.f32")
+            args += ["--data", str(bad)]
+        assert cli.main(args) == 0
+        with open(tmp_path / "ox" / "overlap.json") as f:
+            assert json.load(f)["overlap_percent"] == 100.0
+
+    def test_other_modes_need_data(self, workspace, tmp_path, capsys):
+        _, _, run = workspace
+        out = tmp_path / "gx"
+        rc = cli.main(["explain", "--checkpoint",
+                       os.path.join(run, "model.xck"), "--mode", "group",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --mode group needs --data\n")
+        assert not out.exists()
+
     def test_unknown_subject(self, workspace, tmp_path, capsys):
         _, data, run = workspace
         out = tmp_path / "nx"

@@ -56,9 +56,9 @@ def test_checkpoint_round_trip(tmp_path_factory, setup):
     path = str(tmp_path_factory.mktemp("ck") / "model.xck")
     train.save_checkpoint(path, model)
     again = train.load_checkpoint(path)
-    assert again.trainable().keys() == model.trainable().keys()
-    for k, t in model.trainable().items():
-        assert again.trainable()[k].data.tobytes() == t.data.tobytes()
+    assert again.params.keys() == model.params.keys()
+    for k, t in model.params.items():
+        assert again.params[k].data.tobytes() == t.data.tobytes()
     assert again.meta == json.loads(json.dumps(model.meta))
     assert again.bank.provenance == model.bank.provenance
     samples = [surf.SurfaceSample(f"x{i}", i % 2, rng.normal(

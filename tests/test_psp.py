@@ -147,13 +147,21 @@ def setting():
     return cfg, params, partition, samples
 
 
+def random_bank(seed: int) -> psp.PrototypeBank:
+    """80 unprojected prototypes of dimension 8, drawn as a fresh model
+    draws them."""
+    xi = np.random.default_rng(seed).normal(0.0, 0.02, (80, 8))
+    return psp.PrototypeBank(Tensor(xi.astype(np.float32),
+                                    requires_grad=True), [None] * 80)
+
+
 class TestProjection:
     """Projection searches real candidate samples through the encoder, so the
     oracle recomputes embeddings with encode_samples and argmaxes by hand."""
 
     def test_picks_argmax_per_patch(self, setting):
         cfg, params, partition, samples = setting
-        bank = psp.PrototypeBank.init(80, 8, seed=3)
+        bank = random_bank(3)
         xi0 = bank.xi.data.copy()
         psp.project_prototypes(bank, params, cfg, samples, partition,
                                hemispheres=1, epoch=4)
@@ -171,7 +179,7 @@ class TestProjection:
         decoder's own similarity, cos(relu(x), xi), not of the rectified
         one."""
         cfg, params, partition, samples = setting
-        bank = psp.PrototypeBank.init(80, 8, seed=3)
+        bank = random_bank(3)
         xi0 = bank.xi.data.copy()
         psp.project_prototypes(bank, params, cfg, samples, partition,
                                hemispheres=1, epoch=0,
@@ -189,7 +197,7 @@ class TestProjection:
 
     def test_idempotent(self, setting):
         cfg, params, partition, samples = setting
-        bank = psp.PrototypeBank.init(80, 8, seed=5)
+        bank = random_bank(5)
         psp.project_prototypes(bank, params, cfg, samples, partition,
                                hemispheres=1, epoch=0)
         xi1 = bank.xi.data.copy()
@@ -204,14 +212,14 @@ class TestProjection:
         # all candidates share identical features -> all similarities tie
         clones = [type(samples[0])(sid, 1, samples[0].features)
                   for sid in ["s_b", "s_a", "s_c"]]
-        bank = psp.PrototypeBank.init(80, 8, seed=7)
+        bank = random_bank(7)
         psp.project_prototypes(bank, params, cfg, clones, partition,
                                hemispheres=1, epoch=0)
         assert all(p[0] == "s_a" for p in bank.provenance)
 
     def test_empty_candidates_raise(self, setting):
         cfg, params, partition, _ = setting
-        bank = psp.PrototypeBank.init(80, 8, seed=9)
+        bank = random_bank(9)
         with pytest.raises(Exception, match="empty"):
             psp.project_prototypes(bank, params, cfg, [], partition,
                                    hemispheres=1, epoch=0)

@@ -283,6 +283,10 @@ class TestDatasetIO:
         (lambda d: d["subjects"][2].update(label="1"),
          "subject 2: key 'label' must be 0 or 1"),
         (lambda d: d["subjects"].append(5), "subject 4: missing key 'id'"),
+        (lambda d: d["subjects"][3].update(id="s0"),
+         "subject 3: key 'id' must be unique, got 's0' again"),
+        (lambda d: d["subjects"][2].update(id="x/y"),
+         "subject 2: key 'id' must be a string without '/', got 'x/y'"),
         (lambda d: d["stats"]["curv"].update(std=-1),
          "stats.curv: key 'std' must be a number > 0, got -1")])
     def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,

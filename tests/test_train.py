@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from xsit import psp
 from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.config import load_config
-from xsit.tensor import load_arrays, save_arrays
+from xsit.tensor import AdamW, Tensor, load_arrays, save_arrays
 
 
 def small_config(**train_over):
@@ -111,8 +112,8 @@ class TestTrainRun:
         m1, h1 = train.train_run(cfg, manifest, samples)
         m2, h2 = train.train_run(cfg, manifest, samples)
         assert h1 == h2
-        for k, t in m1.trainable().items():
-            assert t.data.tobytes() == m2.trainable()[k].data.tobytes()
+        for k, t in m1.params.items():
+            assert t.data.tobytes() == m2.params[k].data.tobytes()
 
     def test_dropout_run_bytes_pinned(self, tiny_data, tmp_path):
         """A run with dropout on writes these exact bytes, at 1 and 2 BLAS
@@ -202,8 +203,8 @@ class TestCheckpoint:
         path = str(tmp_path / "m.xck")
         train.save_checkpoint(path, model)
         again = train.load_checkpoint(path)
-        for k, t in model.trainable().items():
-            assert t.data.tobytes() == again.trainable()[k].data.tobytes()
+        for k, t in model.params.items():
+            assert t.data.tobytes() == again.params[k].data.tobytes()
         assert again.bank.provenance == model.bank.provenance
         assert again.stats == model.stats
         p1 = train.predict_probs(model,
@@ -225,6 +226,29 @@ class TestCheckpoint:
             side = json.load(f)
         assert len(side) == model.bank.xi.data.shape[0]
 
+    def test_params_are_the_decoders_arrays(self, tiny_data, tmp_path):
+        """After init and after a load, the prototypes and scaler logits in
+        `params` are the tensors the decoder reads, so one AdamW step over
+        `params` moves the class probability."""
+        manifest, samples = tiny_data
+        model = train.init_model(small_config(), manifest)
+        path = str(tmp_path / "m.xck")
+        train.save_checkpoint(path, model)
+        test = train.normalized(samples["test"], model)
+        for m in (model, train.load_checkpoint(path)):
+            assert m.bank.xi is m.params["psp.xi"]
+            assert m.scaler.logits is m.params["psp.logits"]
+            patches = np.stack([surf.patchify(s, m.part, m.hemispheres)
+                                for s in test])
+            emb = train.enc.encode(Tensor(patches), m.params, m.enc_cfg)
+            fixed = Tensor(emb.data)
+            before = psp.class_probability(fixed, m.bank, m.scaler).data
+            p = psp.class_probability(emb, m.bank, m.scaler)
+            train.weighted_bce(p, [s.label for s in test]).backward()
+            AdamW(m.params, lr=1e-3).step()
+            after = psp.class_probability(fixed, m.bank, m.scaler).data
+            assert np.all(after != before)
+
     def test_load_draws_no_model(self, tiny_data, tmp_path, monkeypatch):
         """The arrays are checked against the encoder's shape list; no
         throwaway model is drawn to learn them."""
@@ -238,7 +262,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(train.enc, "init_params", refuse)
         again = train.load_checkpoint(path)
-        assert again.trainable().keys() == model.trainable().keys()
+        assert again.params.keys() == model.params.keys()
         test = train.normalized(samples["test"], model)
         assert (train.predict_probs(again, test).tobytes()
                 == train.predict_probs(model, test).tobytes())
