@@ -133,8 +133,11 @@ def _cmd_explain(args) -> int:
         samples = splits[args.split]
         if args.subject is not None:
             samples = [s for s in samples if s.subject_id == args.subject]
+            if not samples:
+                raise ValueError(f"subject '{args.subject}' is not in split "
+                                 f"'{args.split}'")
         if not samples:
-            raise ValueError("no matching sample")
+            raise ValueError(f"split '{args.split}' is empty")
         for s in samples:
             per_patch, per_vertex, _ = expl.activation_map(s, model)
             maps.append((f"activation_{s.subject_id}", per_patch, per_vertex))

@@ -8,12 +8,13 @@ embedding is consumed by the decoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .surface import SurfaceError
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, keep_scale
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,29 @@ def init_params(config: EncoderConfig, seed: int) -> dict:
     return p
 
 
+def _threshold(p: float) -> int:
+    """Dropout at rate p drops each element whose 16-bit draw is below
+    t = round(p·2^16), capped at 2^16 - 1: it drops at exactly t/2^16."""
+    return min(round(p * 65536), 65535)
+
+
+def _rate(p: float) -> float:
+    """The exact rate at which a keep mask for rate p drops."""
+    return _threshold(p) / 65536
+
+
 def _keep_mask(shape: tuple, p: float, training: bool,
                rng: np.random.Generator | None) -> np.ndarray | None:
-    """Boolean dropout keep mask, or None when dropout is off."""
-    if not training or p <= 0.0:
+    """Boolean dropout keep mask, or None when dropout is off (t is 0).
+    Each element takes 16 bits of the rng's raw 64-bit output."""
+    t = _threshold(p)
+    if not training or t == 0:
         return None
     if rng is None:
         raise TensorError("training-mode dropout needs an rng")
-    return rng.random(shape) >= p
+    n = math.prod(shape)
+    bits = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)
+    return (bits[:n] >= t).reshape(shape)
 
 
 def _dropout(x: Tensor, p: float, training: bool,
@@ -92,7 +108,7 @@ def _dropout(x: Tensor, p: float, training: bool,
     keep = _keep_mask(x.shape, p, training, rng)
     if keep is None:
         return x
-    return x.mul(Tensor(keep.astype(x.data.dtype) / (1.0 - p),
+    return x.mul(Tensor(keep * keep_scale(_rate(p), x.data.dtype),
                         dtype=x.data.dtype))
 
 
@@ -109,7 +125,7 @@ def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
 
     q, k, v = project("q"), project("k"), project("v")
     keep = _keep_mask((b, h, s, s), config.dropout, training, rng)
-    ctx = q.attention(k, v, keep, config.dropout)
+    ctx = q.attention(k, v, keep, _rate(config.dropout))
     ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
     out = ctx.matmul(params[pre + "attn.wo"]).add(params[pre + "attn.bo"])
     return _dropout(out, config.dropout, training, rng)

@@ -15,12 +15,47 @@ import json
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .surface import _atomic_write, check_fields
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+
+# float32 erf: the rational x·P(x²)/Q(x²) of Eigen's and XLA's float
+# kernel on [-4, 4], outside of which erf rounds to ±1 in float32. P is odd
+# of degree 13 (alpha_13 first), Q even of degree 8 (beta_8 first).
+_ERF32_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF32_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+
+# float64 erf: Cephes ndtr.c, the algorithm of scipy.special.erf. T/U for
+# |x| <= 1, then erf = 1 - erfc with P/Q below |x| = 8 and R/S above. U, Q
+# and S have an implicit leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
 
 
 class TensorError(ValueError):
@@ -31,6 +66,59 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise TensorError(f"non-finite values produced by op '{op}'")
     return arr
+
+
+def _horner(z: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Polynomial with the given coefficients, highest power first, at z,
+    evaluated in a new array in z's dtype; with monic=True the leading
+    coefficient 1 is implicit (Cephes' p1evl)."""
+    out = z + coefs[0] if monic else z * coefs[0] + coefs[1]
+    for c in coefs[1:] if monic else coefs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf32(x: np.ndarray) -> np.ndarray:
+    """erf of a float32 array in float32, within 5e-7 of the exact value."""
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = _horner(x2, _ERF32_P)
+    p *= x
+    p /= _horner(x2, _ERF32_Q)
+    return p
+
+
+def _erf64(x: np.ndarray) -> np.ndarray:
+    """erf in float64, step for step Cephes' erf/erfc as scipy has them:
+    odd, and within 3 ulp of the exact value."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    out = np.empty_like(x)
+    near = a <= 1.0
+    z = x[near] ** 2
+    out[near] = a[near] * _horner(z, _ERF_T) / _horner(z, _ERF_U,
+                                                          monic=True)
+    a = a[~near]
+    mid = a < 8.0
+    num = np.where(mid, _horner(a, _ERFC_P), _horner(a, _ERFC_R))
+    den = np.where(mid, _horner(a, _ERFC_Q, monic=True),
+                   _horner(a, _ERFC_S, monic=True))
+    # erfc; exp underflows to 0 for |x| past about 27, where erf is 1
+    out[~near] = 1.0 - np.exp(-a * a) * num / den
+    return np.copysign(out, x)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, in float32 for a float32 array, else float64."""
+    return _erf32(x) if x.dtype == np.float32 else _erf64(x)
+
+
+def keep_scale(p: float, dtype) -> np.floating:
+    """Inverted dropout's scale for a keep mask that drops at exactly rate
+    p: kept values are multiplied by 1/(1 - p), in dtype."""
+    dtype = np.dtype(dtype).type
+    return dtype(1.0) / dtype(1.0 - p)
 
 
 def _leading_broadcast_shape(sa: tuple, sb: tuple, op: str) -> tuple:
@@ -207,7 +295,9 @@ class Tensor:
     # -- elementwise nonlinearities -----------------------------------------
     def gelu(self) -> "Tensor":
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = erf(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
 
         def backward(g):
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
@@ -261,9 +351,9 @@ class Tensor:
     def attention(self, k: "Tensor", v: "Tensor",
                   keep: np.ndarray | None = None, p: float = 0.0) -> "Tensor":
         """softmax(q·kᵀ/√dh)·v for q = self, k, v of shape [..., S, dh], as
-        one node. With a boolean keep mask of the scores' shape the
-        probabilities get inverted dropout at rate p first: kept ones are
-        scaled by 1/(1 − p), the rest zeroed.
+        one node. With a boolean keep mask of the scores' shape that drops
+        at rate p, the probabilities get inverted dropout first: kept ones
+        are scaled by `keep_scale(p)`, the rest zeroed.
 
         The node keeps the softmax output and the mask, not the scores or
         the dropped probabilities; its backward recomputes the latter. The
@@ -278,7 +368,7 @@ class Tensor:
                               f"{v.shape}")
         dtype = self.data.dtype.type
         scale = dtype(1.0 / math.sqrt(self.shape[-1]))
-        keep_scale = dtype(1.0) / dtype(1.0 - p)
+        kept = keep_scale(p, dtype)
         y = np.matmul(self.data, np.swapaxes(k.data, -1, -2))
         y *= scale
         y = _softmax_(y, -1)
@@ -287,7 +377,7 @@ class Tensor:
             if keep is None:
                 return a
             dst = np.multiply(a, keep, out=dst, dtype=a.dtype)
-            dst *= keep_scale
+            dst *= kept
             return dst
 
         def backward(g):
@@ -330,10 +420,10 @@ class Tensor:
         """Cosine similarity of the ReLU-rectified rows (last axis).
 
         Returns 0 where either rectified row has norm below eps ("no
-        evidence"). Output lies in [0, 1 + eps of the dtype]: in float32 a
-        row compared with itself can give 1 + 2^-23. With
-        rectify_proto=False the prototype rows pass through unrectified
-        (output may go negative).
+        evidence"). Output lies in [0, 1]: in float32 a row compared with
+        itself can round to 1 + 2^-23, so the value is clamped to 1 (the
+        gradient is the unclamped cosine's). With rectify_proto=False the
+        prototype rows pass through unrectified (output may go negative).
         """
         proto = self._coerce(proto)
         if self.shape[-1] != proto.shape[-1]:
@@ -361,7 +451,8 @@ class Tensor:
             vmask = (proto.data > 0) if rectify_proto else \
                 np.ones_like(proto.data, dtype=bool)
             proto._accum(_reduce_to_shape(dv * vmask, proto.shape))
-        return self._make(c, (self, proto), backward, "rect_cosine")
+        return self._make(np.minimum(c, 1.0), (self, proto), backward,
+                          "rect_cosine")
 
     # -- reverse pass -------------------------------------------------------
     def backward(self) -> int:

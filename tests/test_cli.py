@@ -295,10 +295,16 @@ class TestDatasetDefects:
         shutil.copytree(data, bad)
         edit_json(bad / "manifest.json", lambda d: d.update(subjects=[
             s for s in d["subjects"] if s["split"] != "test"]))
-        rc = cli.main(["eval", "--checkpoint", os.path.join(run, "model.xck"),
-                       "--data", str(bad), "--split", "test"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: split 'test' is empty\n"
+        out = tmp_path / "ex"
+        for args in (["eval", "--split", "test"],
+                     ["explain", "--mode", "individual", "--out", str(out)]):
+            rc = cli.main(args[:1] + ["--checkpoint",
+                                      os.path.join(run, "model.xck"),
+                                      "--data", str(bad)] + args[1:])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: split 'test' is empty\n")
+        assert not out.exists()
 
     def test_subject_holding_nan(self, workspace, tmp_path, capsys):
         _, data, run = workspace
@@ -576,7 +582,23 @@ class TestExplain:
                        "--mode", "individual", "--subject", "nobody",
                        "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: no matching sample\n"
+        assert capsys.readouterr().err == (
+            "error: subject 'nobody' is not in split 'test'\n")
+        assert not out.exists()
+
+    def test_subject_of_another_split(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        with open(os.path.join(data, "manifest.json")) as f:
+            subject = next(s["id"] for s in json.load(f)["subjects"]
+                           if s["split"] == "train")
+        out = tmp_path / "nx"
+        rc = cli.main(["explain", "--checkpoint",
+                       os.path.join(run, "model.xck"), "--data", data,
+                       "--mode", "individual", "--subject", subject,
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: subject '{subject}' is not in split 'test'\n")
         assert not out.exists()
 
     def test_group_without_correct_positives(self, workspace, tmp_path,

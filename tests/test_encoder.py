@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xsit import encoder as enc
-from xsit.tensor import Tensor, TensorError
+from xsit.tensor import Tensor, TensorError, keep_scale
 
 TINY = enc.EncoderConfig(dim=8, depth=1, heads=2, mlp_ratio=2, dropout=0.0,
                          seq_len=12, patch_size=3, channels=1)
@@ -133,6 +133,35 @@ class TestEncode:
         params = enc.init_params(TINY, 0)
         with pytest.raises(TensorError, match="config expects"):
             enc.encode(Tensor(np.zeros((1, 12, 4, 1))), params, TINY)
+
+
+class TestKeepMask:
+    def test_no_mask_when_rate_rounds_to_zero(self):
+        rng = np.random.default_rng(0)
+        assert enc._threshold(7e-6) == 0
+        assert enc._keep_mask((4, 4), 7e-6, True, rng) is None
+        assert enc._keep_mask((4, 4), 8e-6, True, rng) is not None
+
+    def test_kept_fraction(self):
+        keep = enc._keep_mask((1000, 1000), 0.1, True,
+                              np.random.default_rng(1))
+        assert keep.dtype == bool and keep.shape == (1000, 1000)
+        assert abs(keep.mean() - (1 - enc._rate(0.1))) <= 0.002
+
+    def test_rate_near_one_is_capped(self):
+        p = 0.999995
+        assert enc._threshold(p) == 65535
+        scale = keep_scale(enc._rate(p), np.float32)
+        assert np.isfinite(scale) and scale == 65536
+        cfg = enc.EncoderConfig(dim=8, depth=1, heads=2, dropout=p,
+                                seq_len=12, patch_size=3, channels=1)
+        params = enc.init_params(cfg, 0)
+        x = Tensor(tiny_inputs(np.random.default_rng(2), 2, cfg))
+        loss = enc.encode(x, params, cfg, training=True,
+                          rng=np.random.default_rng(3)).sum()
+        loss.backward()
+        assert np.isfinite(loss.data).all()
+        assert all(np.isfinite(t.grad).all() for t in params.values())
 
 
 class TestEncoderGradients:

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from xsit.tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
+import xsit
+from xsit.tensor import (AdamW, Tensor, TensorError, erf, load_arrays,
+                         save_arrays)
 
 
 def fd_grad(fn, t, h=1e-6):
@@ -170,6 +177,46 @@ class TestLayernorm:
         b = randt(rng, (5,))
         assert_grad_matches(
             lambda: (x.layernorm(g, b) * x.layernorm(g, b)).sum(), [x, g, b])
+
+
+class TestErf:
+    """A dense sweep of [-6, 6] against math.erf, which is double-accurate."""
+    X = np.linspace(-6.0, 6.0, 120_001)
+    EXACT = np.array([math.erf(v) for v in X])
+
+    def test_float32_within_5e_7(self):
+        got = erf(self.X.astype(np.float32))
+        exact = np.array([math.erf(v) for v in
+                          self.X.astype(np.float32).astype(np.float64)])
+        assert got.dtype == np.float32
+        assert np.abs(got.astype(np.float64) - exact).max() <= 5e-7
+
+    def test_float64_is_cephes(self):
+        """Within 3 ulp of math.erf, the error of Cephes' algorithm itself
+        (at x = -0.9374, say), and within 2 ulp of scipy's port of it."""
+        got = erf(self.X)
+        ulp = np.spacing(np.abs(self.EXACT))
+        assert got.dtype == np.float64
+        assert (np.abs(got - self.EXACT) <= 3 * ulp).all()
+        special = pytest.importorskip("scipy.special")
+        assert (np.abs(got - special.erf(self.X)) <= 2 * ulp).all()
+
+    def test_odd_and_saturated(self):
+        for dtype in (np.float32, np.float64):
+            x = self.X.astype(dtype)
+            assert (erf(-x) == -erf(x)).all()
+            assert (erf(np.array([-40.0, 40.0], dtype)) == [-1, 1]).all()
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(xsit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, xsit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == "False\n"
 
 
 class TestElementwise:
