@@ -18,9 +18,10 @@ from . import encoder as enc
 from . import surface as surf
 from .tensor import Tensor, TensorError
 
-# Samples per inference-mode encoder call. An active prototype is bit-equal
-# to a fresh `encode_samples` of its source subject only when both encode
-# in the same batches, so it is fixed.
+# Samples per inference-mode encoder call. It bounds one call's memory
+# only: a subject's embedding has the same bits in any batch (pinned by
+# tests/test_psp.py), so an active prototype is bit-equal to a fresh
+# encoding of its source subject, one at a time or in a split.
 _ENCODE_BATCH = 16
 
 

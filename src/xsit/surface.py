@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,20 @@ class IcosphereMesh:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
+
+    # The PLY text of the geometry, formatted on first use and kept for the
+    # mesh's lifetime, so each map written on it formats only its scalar:
+    # the vertex rows, x y z as `%.8f` and a `%.8f` hole for the scalar,
+    # and the face block.
+    @cached_property
+    def _ply_rows(self) -> str:
+        return ("%.8f %.8f %.8f %%.8f\n" * self.n_vertices) % tuple(
+            self.vertices.ravel().tolist())
+
+    @cached_property
+    def _ply_faces(self) -> str:
+        return ("3 %d %d %d\n" * self.n_faces) % tuple(
+            self.faces.ravel().tolist())
 
 
 def vertex_count(order: int) -> int:
@@ -365,26 +380,26 @@ def write_ply(path: str, mesh: IcosphereMesh,
               scalar: np.ndarray | None = None,
               scalar_name: str = "value") -> None:
     """ASCII PLY with optional per-vertex scalar; NaN marks masked vertices.
-    Each block is formatted by one `%` over a repeated row format; a
-    non-finite scalar is written as NaN, which `%.8f` prints as `nan`."""
+    The vertex rows and faces are the mesh's own text, formatted once; a
+    scalar fills the rows' holes by one `%`, and without one the holes are
+    cut out. A non-finite scalar is written as NaN, which `%.8f` prints as
+    `nan`."""
     lines = ["ply", "format ascii 1.0",
              f"element vertex {mesh.n_vertices}",
              "property float x", "property float y", "property float z"]
-    rows = mesh.vertices
-    if scalar is not None:
-        if scalar.shape[0] != mesh.n_vertices:
-            raise SurfaceError("scalar length must match vertex count")
-        lines.append(f"property float {scalar_name}")
+    if scalar is None:
+        vertex_block = mesh._ply_rows.replace(" %.8f\n", "\n")
+    else:
         column = np.asarray(scalar, dtype=np.float64)
-        rows = np.column_stack(
-            [rows, np.where(np.isfinite(column), column, np.nan)])
+        if column.shape != (mesh.n_vertices,):
+            raise SurfaceError(f"scalar must have shape ({mesh.n_vertices},)"
+                               f", one value per vertex, got {column.shape}")
+        lines.append(f"property float {scalar_name}")
+        vertex_block = mesh._ply_rows % tuple(
+            np.where(np.isfinite(column), column, np.nan).tolist())
     lines += [f"element face {mesh.n_faces}",
               "property list uchar int vertex_indices", "end_header"]
-    row = " ".join(["%.8f"] * rows.shape[1]) + "\n"
-    vertex_block = (row * mesh.n_vertices) % tuple(rows.ravel().tolist())
-    face_block = ("3 %d %d %d\n" * mesh.n_faces) % tuple(
-        mesh.faces.ravel().tolist())
-    text = "\n".join(lines) + "\n" + vertex_block + face_block
+    text = "\n".join(lines) + "\n" + vertex_block + mesh._ply_faces
     _atomic_write(path, text.encode())
 
 

@@ -86,15 +86,14 @@ class Model:
     part: surf.PatchPartition
     meta: dict
 
-    mesh_order = _from_meta("mesh_order")
-    patch_order = _from_meta("patch_order")
-    hemispheres = _from_meta("hemispheres")
-    channels = _from_meta("channels")
-    stats = _from_meta("stats")
     rectify_prototypes = _from_meta("rectify_prototypes")
 
     def partition(self) -> surf.PatchPartition:
         return self.part
+
+
+for _key in surf._DATASET:  # model.mesh_order, ..., model.stats
+    setattr(Model, _key, _from_meta(_key))
 
 
 # a meta key whose value is checked as a setting; each entry of the

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from xsit import cli
+from xsit import explain as expl
+from xsit import surface as surf
 from xsit import synth
+from xsit import train
 from xsit.tensor import load_arrays, save_arrays
 
 
@@ -632,6 +635,38 @@ class TestExplain:
         assert names == ["activation_s0027.csv", "activation_s0027.ply"]
         for name in names:
             assert (one / name).read_bytes() == (every / name).read_bytes()
+
+    def test_two_hemisphere_maps_are_fresh_mesh_bytes(self, tmp_path):
+        """One explain writes every subject's hemispheres on the model's
+        one mesh; each file is `write_ply` of that subject's map on a
+        freshly built mesh."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(synth.SynthSpec(**dict(
+            SPEC, hemispheres=2, lesion_patches=[3, 91],
+            counts={"train": 4, "val": 2, "test": 3})).to_json())
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        out = tmp_path / "ex"
+        assert cli.main(["gen-data", "--spec", str(spec), "--out", data]) == 0
+        args = ["train", "--data", data, "--out", run]
+        for s in TRAIN_SETS + ["train.epochs=1", "train.batch_size=4"]:
+            args += ["--set", s]
+        assert cli.main(args) == 0
+        ckpt = os.path.join(run, "model.xck")
+        assert cli.main(["explain", "--checkpoint", ckpt, "--data", data,
+                         "--mode", "individual", "--out", str(out)]) == 0
+        model = train.load_checkpoint(ckpt)
+        _, splits = surf.load_dataset(os.path.join(data, "manifest.json"))
+        v = surf.vertex_count(2)
+        for sample in splits["test"]:
+            _, per_vertex, _ = expl.activation_map(sample, model)
+            for i in range(2):
+                name = f"activation_{sample.subject_id}.hemi{i}.ply"
+                fresh = tmp_path / name
+                surf.write_ply(str(fresh), surf.build_icosphere(2),
+                               per_vertex[i * v:(i + 1) * v],
+                               scalar_name="activation")
+                assert (out / name).read_bytes() == fresh.read_bytes()
+        assert len(os.listdir(out)) == 3 * 3
 
     @pytest.mark.parametrize("mode", ["individual", "group"])
     def test_unknown_split(self, workspace, tmp_path, capsys, mode):

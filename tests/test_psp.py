@@ -223,3 +223,26 @@ class TestProjection:
         with pytest.raises(Exception, match="empty"):
             psp.project_prototypes(bank, params, cfg, [], partition,
                                    hemispheres=1, epoch=0)
+
+
+@pytest.mark.parametrize("batch", [1, 16, 50])
+def test_embeddings_do_not_depend_on_the_batching(monkeypatch, batch):
+    """50 subjects of the acceptance BENCH shape (ico4 mesh, ico1 patches,
+    3 channels) through the default encoder: encoding them `batch` at a
+    time gives the bits of encoding them all in one call."""
+    from xsit import encoder as enc
+    from xsit import surface as surf
+    partition = surf.build_partition(4, 1)
+    cfg = enc.EncoderConfig(seq_len=partition.n_patches,
+                            patch_size=partition.patch_size, channels=3)
+    params = enc.init_params(cfg, 0)
+    rng = np.random.default_rng(21)
+    samples = [surf.SurfaceSample(
+        f"s{i:02d}", i % 2,
+        rng.normal(size=(surf.vertex_count(4), 3)).astype(np.float32))
+        for i in range(50)]
+    patches = np.stack([surf.patchify(s, partition, 1) for s in samples])
+    whole = enc.encode(Tensor(patches), params, cfg).data
+    monkeypatch.setattr(psp, "_ENCODE_BATCH", batch)
+    emb = psp.encode_samples(samples, params, cfg, partition, 1)
+    assert emb.tobytes() == whole.tobytes()

@@ -342,11 +342,45 @@ class TestPly:
     @pytest.mark.parametrize("case", ["none", "scalar"])
     def test_pinned_bytes(self, tmp_path, case):
         mesh = surf.build_icosphere(3)
-        scalar = None
-        if case == "scalar":  # float32, with NaN, +inf, -inf and -0.0
-            scalar = np.random.default_rng(7).normal(
-                size=mesh.n_vertices).astype(np.float32)
-            scalar[[0, 1, 2, 3]] = [np.nan, np.inf, -np.inf, -0.0]
+        scalar = pinned_scalar(mesh) if case == "scalar" else None
         p = tmp_path / "m.ply"
         surf.write_ply(str(p), mesh, scalar=scalar)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == PLY_SHA256[case]
+
+    def test_one_mesh_writes_what_a_fresh_mesh_writes(self, tmp_path):
+        """The mesh keeps its geometry's text between files: a bare PLY,
+        the pinned scalar, another scalar and a bare PLY again, written
+        in that order on one mesh, are each the bytes of a fresh mesh."""
+        mesh = surf.build_icosphere(3)
+        other = np.linspace(-1.0, 1.0, mesh.n_vertices)
+        cases = [("none", None), ("scalar", pinned_scalar(mesh)),
+                 (None, other), ("none", None)]
+        for i, (pin, scalar) in enumerate(cases):
+            kept, fresh = tmp_path / f"kept{i}.ply", tmp_path / f"fresh{i}.ply"
+            surf.write_ply(str(kept), mesh, scalar=scalar)
+            surf.write_ply(str(fresh), surf.build_icosphere(3), scalar=scalar)
+            assert kept.read_bytes() == fresh.read_bytes()
+            if pin is not None:
+                assert hashlib.sha256(kept.read_bytes()).hexdigest() == \
+                    PLY_SHA256[pin]
+
+    @pytest.mark.parametrize("shape", [(12, 2), (12, 1), (1, 12), (11,),
+                                       (13,), ()],
+                             ids=lambda s: "x".join(map(str, s)) or "0-d")
+    def test_scalar_must_be_one_value_per_vertex(self, tmp_path, shape):
+        p = tmp_path / "m.ply"
+        with pytest.raises(surf.SurfaceError,
+                           match=re.escape(f"must have shape (12,), one "
+                                           f"value per vertex, got {shape}")):
+            surf.write_ply(str(p), surf.build_icosphere(0),
+                           scalar=np.zeros(shape))
+        assert not p.exists()
+
+
+def pinned_scalar(mesh):
+    """The scalar of PLY_SHA256["scalar"]: float32, with NaN, +inf, -inf
+    and -0.0."""
+    scalar = np.random.default_rng(7).normal(
+        size=mesh.n_vertices).astype(np.float32)
+    scalar[[0, 1, 2, 3]] = [np.nan, np.inf, -np.inf, -0.0]
+    return scalar

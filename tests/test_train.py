@@ -250,6 +250,20 @@ class TestCheckpoint:
             after = psp.class_probability(fixed, m.bank, m.scaler).data
             assert np.all(after != before)
 
+    def test_dataset_keys_read_the_checkpoint_meta(self, tiny_data,
+                                                    tmp_path):
+        """Every key of the dataset table is a Model attribute that reads
+        the checkpoint meta's value."""
+        manifest, _ = tiny_data
+        path = str(tmp_path / "m.xck")
+        train.save_checkpoint(path, train.init_model(small_config(),
+                                                     manifest))
+        _, meta = load_arrays(path)
+        model = train.load_checkpoint(path)
+        for key in surf._DATASET:
+            assert getattr(model, key) == meta[key] == getattr(manifest, key)
+            assert getattr(model, key) is model.meta[key]
+
     def test_load_draws_no_model(self, tiny_data, tmp_path, monkeypatch):
         """The arrays are checked against the encoder's shape list; no
         throwaway model is drawn to learn them."""
