@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -195,3 +196,31 @@ class TestEncoderGradients:
             np.testing.assert_allclose(grad.reshape(-1)[sl],
                                        fd.reshape(-1)[sl],
                                        rtol=1e-6, atol=1e-8)
+
+
+def test_backward_frees_the_step():
+    """After backward() every array of the step's graph is freed, though
+    the loss is still referenced: traced memory is back where it was
+    before the forward (the leaves' gradients already exist, so backward
+    accumulates into them in place)."""
+    cfg = enc.EncoderConfig(dim=12, depth=2, heads=3, dropout=0.1,
+                            seq_len=24, patch_size=3, channels=1)
+    params = enc.init_params(cfg, 0)
+    x = Tensor(tiny_inputs(np.random.default_rng(7), 4, cfg))
+
+    def step(seed):
+        loss = enc.encode(x, params, cfg, training=True,
+                          rng=np.random.default_rng(seed)).sum()
+        loss.backward()
+        return loss
+
+    step(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = step(1)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.data.size == 1
+    assert after - before < 0.02 * (peak - before)

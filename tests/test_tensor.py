@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import xsit
+from xsit import tensor
 from xsit.tensor import (AdamW, Tensor, TensorError, erf, load_arrays,
                          save_arrays)
 
@@ -124,26 +126,99 @@ class TestAttention:
         assert_grad_matches(lambda: (q.attention(k, v, keep, 0.3) * c).sum(),
                             [q, k, v])
 
+    @staticmethod
+    def fused_and_composed(shape, keep, c, heads_first=True):
+        """[out, q.grad, k.grad, v.grad] as bytes, in float32, from the
+        attention node and from matmul, scale, softmax, dropout mul and
+        matmul as separate nodes, with the loss sum(out * c). With
+        heads_first=False the leaves are [B, S, h, dh] and q, k, v their
+        [B, h, S, dh] transposes, as in the encoder."""
+        b, h, s, dh = shape
+        results = []
+        for fused in (True, False):
+            rng = np.random.default_rng(15)
+            leaves = [Tensor(rng.uniform(-2, 2, size=shape if heads_first
+                                         else (b, s, h, dh)),
+                             requires_grad=True, dtype=np.float32)
+                      for _ in range(3)]
+            q, k, v = leaves if heads_first else \
+                [t.transpose((0, 2, 1, 3)) for t in leaves]
+            if fused:
+                out = q.attention(k, v, keep, 0.0 if keep is None else 0.1)
+            else:
+                out = q.matmul(k.transpose((0, 1, 3, 2))).mul(
+                    1.0 / np.sqrt(dh)).softmax(-1)
+                if keep is not None:
+                    out = out.mul(Tensor(keep.astype(np.float32) / (1.0 - 0.1)))
+                out = out.matmul(v)
+            (out * Tensor(c.astype(np.float32))).sum().backward()
+            results.append([out.data.tobytes()]
+                           + [t.grad.tobytes() for t in leaves])
+        return results
+
     def test_bytes_of_the_composed_ops(self):
         """Forward and gradients equal, byte for byte in float32, those of
         matmul, scale, softmax, dropout mul and matmul as separate nodes."""
         rng = np.random.default_rng(14)
         keep = rng.random((2, 2, 5, 5)) >= 0.1
-        c = rng.uniform(-1, 1, size=(2, 2, 5, 3)).astype(np.float32)
-        results = []
-        for fused in (True, False):
-            q, k, v = self.qkv(np.random.default_rng(15), np.float32)
-            if fused:
-                out = q.attention(k, v, keep, 0.1)
-            else:
-                scores = q.matmul(k.transpose((0, 1, 3, 2))).mul(
-                    1.0 / np.sqrt(3.0))
-                mask = Tensor(keep.astype(np.float32) / (1.0 - 0.1))
-                out = scores.softmax(-1).mul(mask).matmul(v)
-            (out * Tensor(c)).sum().backward()
-            results.append([out.data.tobytes()]
-                           + [t.grad.tobytes() for t in (q, k, v)])
-        assert results[0] == results[1]
+        c = rng.uniform(-1, 1, size=(2, 2, 5, 3))
+        fused, composed = self.fused_and_composed((2, 2, 5, 3), keep, c)
+        assert fused == composed
+
+    @staticmethod
+    def two_slices_per_block(monkeypatch, s, dtype):
+        monkeypatch.setattr(tensor, "_ATTN_BLOCK",
+                            2 * s * s * np.dtype(dtype).itemsize)
+
+    # blocks of two [5, 5] slices: (1, 7) is one grid row of 7 slices in 4
+    # blocks, (7, 1) 7 rows of one slice in 4 blocks, (3, 3) two blocks per
+    # row; each has a partial last block
+    @pytest.mark.parametrize("lead", [(1, 7), (7, 1), (3, 3)],
+                             ids=["1x7", "7x1", "3x3"])
+    @pytest.mark.parametrize("masked", [True, False], ids=["keep", "nokeep"])
+    def test_bytes_across_blocks(self, monkeypatch, lead, masked):
+        self.two_slices_per_block(monkeypatch, 5, np.float32)
+        rng = np.random.default_rng(17)
+        keep = rng.random(lead + (5, 5)) >= 0.1
+        c = rng.uniform(-1, 1, size=lead + (5, 3))
+        fused, composed = self.fused_and_composed(
+            lead + (5, 3), keep if masked else None, c, heads_first=False)
+        assert fused == composed
+
+    @pytest.mark.parametrize("lead", [(1, 7), (7, 1)], ids=["1x7", "7x1"])
+    def test_grad_across_blocks(self, monkeypatch, lead):
+        self.two_slices_per_block(monkeypatch, 5, np.float64)
+        rng = np.random.default_rng(18)
+        q, k, v = self.qkv(rng, shape=lead + (5, 3))
+        keep = rng.random(lead + (5, 5)) >= 0.3
+        c = Tensor(rng.uniform(-1, 1, size=q.shape), dtype=np.float64)
+        assert_grad_matches(lambda: (q.attention(k, v, keep, 0.3) * c).sum(),
+                            [q, k, v])
+
+    def test_backward_peaks_below_one_score_array(self):
+        """The backward's [..., S, S] temporaries exist one block at a
+        time: over 8 blocks it peaks below one whole score array."""
+        s = 512
+        per_block = max(1, tensor._ATTN_BLOCK // (s * s * 4))
+        shape = (2, 4 * per_block, s, 4)
+        rng = np.random.default_rng(19)
+        q, k, v = self.qkv(rng, np.float32, shape)
+        keep = rng.random(shape[:2] + (s, s)) >= 0.1
+        c = Tensor(rng.uniform(-1, 1, size=shape), dtype=np.float32)
+        loss = (q.attention(k, v, keep, 0.1) * c).sum()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < math.prod(shape[:2]) * s * s * 4
+
+    def test_keep_mask_must_have_the_scores_shape(self):
+        q = Tensor(np.ones((1, 2, 4, 3)))
+        with pytest.raises(TensorError, match="keep mask"):
+            q.attention(q, q, np.ones((4, 4), dtype=bool), 0.1)
 
     def test_shape_mismatch(self):
         q = Tensor(np.ones((1, 2, 4, 3)))
@@ -291,6 +366,32 @@ class TestBackwardPass:
         visits = z.sum().backward()
         # nodes: x, const 2, y, z (y used twice but visited once), sum
         assert visits == 5
+
+    def test_consumes_the_graph_and_leaves_keep_grads(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = x * 2.0
+        loss = (y * y).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 8 * x.data)
+        for node in (y, loss):
+            assert node.grad is None and node._backward is None
+            assert node._parents == ()
+
+    def test_second_backward_is_refused(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(TensorError, match="'sum'.*earlier backward"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_graph_on_a_consumed_node_is_refused(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = x * 2.0
+        y.sum().backward()
+        with pytest.raises(TensorError, match="'mul'.*earlier backward"):
+            (y * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 # every tape op, called on [3, 3] operands a and b
