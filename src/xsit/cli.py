@@ -13,7 +13,8 @@ from . import explain as expl
 from . import surface as surf
 from . import synth
 from . import train as tr
-from .config import ConfigError, load_config
+from .config import load_config
+from .files import InputError, atomic_write
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -50,9 +51,9 @@ def _parser() -> argparse.ArgumentParser:
                    choices=["train", "val", "test"])
     x.add_argument("--subject", default=None,
                    help="subject id for --mode individual")
-    x.add_argument("--channel", type=int, default=0,
-                   help="feature channel for --mode prototypes")
-    x.add_argument("--extra-checkpoints", nargs="*", default=[],
+    x.add_argument("--channel", type=int, default=None,
+                   help="feature channel for --mode prototypes (default 0)")
+    x.add_argument("--extra-checkpoints", nargs="*", default=None,
                    help="additional checkpoints for --mode overlap")
 
     m = sub.add_parser("mesh", help="export an icosphere as ASCII PLY")
@@ -66,7 +67,7 @@ def _parse_overrides(pairs):
     for pair in pairs:
         key, sep, val = pair.partition("=")
         if not sep:
-            raise ConfigError(f"bad override '{pair}', expected KEY=VALUE")
+            raise InputError(f"bad override '{pair}', expected KEY=VALUE")
         out[key] = val
     return out
 
@@ -101,7 +102,7 @@ def _read(args, stats: bool = False):
     model = tr.load_checkpoint(args.checkpoint)
     path = os.path.join(args.data, "manifest.json")
     manifest, splits = surf.load_dataset(path)
-    for key in (k for k in surf._DATASET if stats or k != "stats"):
+    for key in (k for k in surf.DATASET_KEYS if stats or k != "stats"):
         want, got = getattr(model, key), getattr(manifest, key)
         if got != want:
             raise ValueError(f"{path}: key '{key}' must be the model's "
@@ -119,7 +120,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# the explain flags that one mode alone reads
+_MODE_FLAGS = {"subject": "individual", "channel": "prototypes",
+               "extra_checkpoints": "overlap"}
+
+
 def _cmd_explain(args) -> int:
+    for key, mode in _MODE_FLAGS.items():
+        if getattr(args, key) is not None and args.mode != mode:
+            raise InputError(f"--{key.replace('_', '-')} is read by --mode "
+                             f"{mode} only, not by --mode {args.mode}")
     if args.mode == "overlap":  # compares checkpoints only
         model = tr.load_checkpoint(args.checkpoint)
     elif args.data is None:
@@ -147,18 +157,17 @@ def _cmd_explain(args) -> int:
                      *expl.group_mean_map(splits[args.split], model)))
         done = f"wrote group mean map to {args.out}"
     elif args.mode == "prototypes":
-        n = len(model.channels)
-        if not 0 <= args.channel < n:
-            raise ValueError(f"--channel {args.channel}: the model has {n} "
-                             f"channels, 0 to {n - 1}")
-        maps.append((f"prototype_{model.channels[args.channel]}", None,
-                     expl.export_prototype_surface(model, splits["train"],
-                                                   args.channel)))
+        n, c = len(model.channels), args.channel or 0
+        if not 0 <= c < n:
+            raise ValueError(f"--channel {c}: the model has {n} channels, "
+                             f"0 to {n - 1}")
+        maps.append((f"prototype_{model.channels[c]}", None,
+                     expl.export_prototype_surface(model, splits["train"], c)))
         scalar = "feature"
         done = f"wrote stitched prototype surface to {args.out}"
     else:  # overlap
         models = [model] + [tr.load_checkpoint(c)
-                            for c in args.extra_checkpoints]
+                            for c in args.extra_checkpoints or []]
         pct = expl.prototype_overlap(models)
         report = json.dumps({"overlap_percent": pct, "models": len(models)})
         out_path = os.path.join(args.out, "overlap.json")
@@ -166,7 +175,7 @@ def _cmd_explain(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     if args.mode == "overlap":
-        surf._atomic_write(out_path, report.encode())
+        atomic_write(out_path, report.encode())
     mesh, h = model.part.mesh, model.hemispheres
     v = mesh.n_vertices
     for name, per_patch, per_vertex in maps:

@@ -3,7 +3,7 @@
 The config file is JSON with three sections (encoder, psp, train); the
 resolved effective config is echoed to <out>/config.resolved.json on every
 training run. Every value, from the file or an override, must have its
-field's type by the one type rule of `surface.checked` and lie in range,
+field's type by the one type rule of `files.checked` and lie in range,
 and the encoder section must pass EncoderConfig's own checks.
 """
 
@@ -14,7 +14,7 @@ import copy
 import json
 
 from .encoder import EncoderConfig
-from .surface import SurfaceError, checked
+from .files import InputError, checked
 
 
 DEFAULTS = {
@@ -49,8 +49,6 @@ FIELDS = {
     "train.class_weighted": (bool, None, ""),
 }
 
-ConfigError = SurfaceError  # a bad setting is a bad input like any other
-
 
 def check_settings(where: str, values: dict) -> dict:
     """`values`, keyed 'section.key', each checked against FIELDS and made
@@ -58,7 +56,7 @@ def check_settings(where: str, values: dict) -> dict:
     names their source."""
     for key in values:
         if key not in FIELDS:
-            raise ConfigError(f"{where}unknown config key '{key}'")
+            raise InputError(f"{where}unknown config key '{key}'")
     return {k: FIELDS[k][0](checked(f"{where}config ", k, v, FIELDS[k]))
             for k, v in values.items()}
 
@@ -74,14 +72,14 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
             try:
                 user = json.load(f)
             except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: not valid JSON ({e})") from e
+                raise InputError(f"{path}: not valid JSON ({e})") from e
         if not isinstance(user, dict) or not all(
                 isinstance(v, dict) for v in user.values()):
-            raise ConfigError(f"{path}: config must map sections to objects")
+            raise InputError(f"{path}: config must map sections to objects")
         for section in user:
             if section not in DEFAULTS:
-                raise ConfigError(f"{path}: unknown config section "
-                                  f"'{section}'")
+                raise InputError(f"{path}: unknown config section "
+                                 f"'{section}'")
         given = check_settings(f"{path}: ", {f"{s}.{k}": v for s, vals in
                                              user.items() for k, v in
                                              vals.items()})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import SurfaceError
+from .files import InputError
 from .tensor import Tensor, TensorError, keep_scale
 
 
@@ -31,8 +31,8 @@ class EncoderConfig:
     def __post_init__(self):
         """The rule across settings; their ranges are the config's."""
         if self.heads < 1 or self.dim % self.heads != 0:
-            raise SurfaceError(f"'encoder.heads' must divide 'encoder.dim', "
-                               f"got {self.heads} and {self.dim}")
+            raise InputError(f"'encoder.heads' must divide 'encoder.dim', "
+                             f"got {self.heads} and {self.dim}")
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:

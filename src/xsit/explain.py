@@ -14,6 +14,7 @@ import numpy as np
 
 from . import psp
 from . import surface as surf
+from .files import atomic_write
 from .train import Model, activations, normalized, predicted_positive
 
 
@@ -110,4 +111,4 @@ def write_patch_csv(path: str, per_patch: np.ndarray, model: Model) -> None:
         prov = model.bank.provenance[i]
         lines.append(f"{i},{float(val)!r},{float(w[i])!r},"
                      f"{prov[0] if prov is not None else ''}")
-    surf._atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
+
+from .files import InputError, atomic_write, check_fields
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -39,10 +39,6 @@ _BASE_FACES = np.array([
     [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
     [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
 ], dtype=np.int64)
-
-
-class SurfaceError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def face_count(order: int) -> int:
 
 def build_icosphere(order: int) -> IcosphereMesh:
     if order < 0:
-        raise SurfaceError("icosphere order must be >= 0")
+        raise InputError("icosphere order must be >= 0")
     verts = _BASE_VERTICES / np.linalg.norm(_BASE_VERTICES, axis=1,
                                             keepdims=True)
     faces = _BASE_FACES.copy()
@@ -145,9 +141,9 @@ def build_partition(mesh_order: int, patch_order: int) -> PatchPartition:
     Vertices on a block's boundary land in every adjacent patch, so all
     patches share one fixed size M."""
     if patch_order > mesh_order:
-        raise SurfaceError("patch order must not exceed mesh order")
+        raise InputError("patch order must not exceed mesh order")
     if patch_order < 0:
-        raise SurfaceError("patch order must be >= 0")
+        raise InputError("patch order must be >= 0")
     mesh = build_icosphere(mesh_order)
     m = patch_size(mesh_order, patch_order)
     blocks = np.sort(mesh.faces.reshape(face_count(patch_order), -1), axis=1)
@@ -156,13 +152,13 @@ def build_partition(mesh_order: int, patch_order: int) -> PatchPartition:
     sizes = first.sum(axis=1)
     if (sizes != m).any():
         fi = int(np.argmax(sizes != m))
-        raise SurfaceError(
+        raise InputError(
             f"patch {fi}: expected {m} vertices, found {sizes[fi]}")
     patches = blocks[first].reshape(-1, m)
     covered = np.zeros(mesh.n_vertices, dtype=bool)
     covered[patches.reshape(-1)] = True
     if not covered.all():
-        raise SurfaceError("partition does not cover all vertices")
+        raise InputError("partition does not cover all vertices")
     return PatchPartition(mesh_order=mesh_order, patch_order=patch_order,
                           patch_vertex_indices=patches, mesh=mesh)
 
@@ -191,7 +187,7 @@ class DatasetManifest:
         return asdict(self)
 
 
-def _vertex_ids(partition: PatchPartition, hemispheres: int) -> np.ndarray:
+def vertex_ids(partition: PatchPartition, hemispheres: int) -> np.ndarray:
     """[H*N, M] indices into the hemisphere-major vertex axis."""
     v = vertex_count(partition.mesh_order)
     offsets = np.arange(hemispheres, dtype=np.int64)[:, None, None] * v
@@ -205,10 +201,10 @@ def patchify(sample: SurfaceSample, partition: PatchPartition,
     hemisphere-major."""
     v = vertex_count(partition.mesh_order)
     if sample.features.shape[0] != v * hemispheres:
-        raise SurfaceError(
+        raise InputError(
             f"sample {sample.subject_id}: {sample.features.shape[0]} vertices, "
             f"expected {v * hemispheres}")
-    return sample.features[_vertex_ids(partition, hemispheres)]
+    return sample.features[vertex_ids(partition, hemispheres)]
 
 
 def unpatchify(values: np.ndarray, partition: PatchPartition,
@@ -217,7 +213,7 @@ def unpatchify(values: np.ndarray, partition: PatchPartition,
     over the patches that claim each vertex. Rows with a non-finite value
     are masked; a vertex that no unmasked patch claims is NaN."""
     keep = np.isfinite(values).all(axis=1)
-    ids = _vertex_ids(partition, hemispheres)[keep].reshape(-1)
+    ids = vertex_ids(partition, hemispheres)[keep].reshape(-1)
     n = vertex_count(partition.mesh_order) * hemispheres
     # bincount adds the weights in float64 in input order, as a sequential
     # np.add.at into float64 zeros does, so the sums are the same bits
@@ -229,7 +225,7 @@ def unpatchify(values: np.ndarray, partition: PatchPartition,
 
 def save_sample(path: str, features: np.ndarray) -> None:
     raw = np.ascontiguousarray(features, dtype="<f4").tobytes()
-    _atomic_write(path, raw)
+    atomic_write(path, raw)
 
 
 def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
@@ -237,59 +233,19 @@ def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) != expect:
-        raise SurfaceError(
+        raise InputError(
             f"{path}: {len(raw)} bytes, expected {expect}")
     feats = np.frombuffer(raw, dtype="<f4").reshape(v_total, n_channels)
     if not np.all(np.isfinite(feats)):
-        raise SurfaceError(f"{path}: non-finite feature values")
+        raise InputError(f"{path}: non-finite feature values")
     return feats.astype(np.float32)
 
 
-# -- reading input ------------------------------------------------------------
-# Every value read from a file or --set is checked against a field table:
-# key -> (type, test of the typed value or None, what it "must be"). In a
-# record the program wrote (`exact`) ints are JSON integers, and the
-# description states the type too and tells any fault.
-
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               list: "a list", dict: "an object"}
-
-
-def checked(where: str, key: str, val, field: tuple, exact: bool = False):
-    """`val`, an integral float for an int made an int, or one SurfaceError
-    that starts with `where` (the source) and names `key`. The type rule:
-    bools are true/false only, ints take no fractional part, floats take
-    ints, and every number is finite."""
-    kind, test, what = field
-    if kind in (int, float):
-        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
-              and abs(val) <= sys.float_info.max
-              and (kind is float or isinstance(val, int)
-                   or not exact and val.is_integer()))
-    else:
-        ok = isinstance(val, kind)
-    if not (ok or exact):
-        raise SurfaceError(f"{where}key '{key}' needs {_KIND_NAMES[kind]}, "
-                           f"got {val!r}")
-    val = int(val) if ok and kind is int else val
-    if not ok or test is not None and not test(val):
-        raise SurfaceError(f"{where}key '{key}' must be {what}, got {val!r}")
-    return val
-
-
-def check_fields(where: str, d, table: dict) -> dict:
-    """The exact values of record `d` for every key of `table`; a missing
-    key, or a `d` that is not an object, is a SurfaceError."""
-    for key in table:
-        if not isinstance(d, dict) or key not in d:
-            raise SurfaceError(f"{where}missing key '{key}'")
-    return {k: checked(where, k, d[k], f, exact=True)
-            for k, f in table.items()}
-
-
-# what a manifest and a checkpoint's meta both record about the data, the
-# statistics of one channel, and one manifest subject entry
-_DATASET = {
+# -- the dataset -------------------------------------------------------------
+# What a manifest and a checkpoint's meta both record about the data, the
+# statistics of one channel, and one manifest subject entry, as field tables
+# of `files.check_fields`.
+DATASET_KEYS = {
     "mesh_order": (int, lambda v: v >= 0, "an integer >= 0"),
     "patch_order": (int, lambda v: v >= 0, "an integer >= 0"),
     "hemispheres": (int, lambda v: v >= 1, "an integer >= 1"),
@@ -309,17 +265,17 @@ _SUBJECT = {
 
 
 def check_dataset_fields(d, where: str = "") -> None:
-    """SurfaceError naming the first of the mesh and patch orders,
+    """InputError naming the first of the mesh and patch orders,
     hemispheres, channel names and per-channel {mean, std > 0} stats that
     `d` lacks or holds out of range."""
-    check_fields(where, d, _DATASET)
+    check_fields(where, d, DATASET_KEYS)
     stats = d["stats"]
     if sorted(stats) != sorted(d["channels"]) or not all(
             isinstance(s, dict) and sorted(s) == ["mean", "std"]
             and all(type(x) in (int, float) for x in s.values())
             for s in stats.values()):
-        raise SurfaceError(f"{where}key 'stats' must hold one {{mean, std}} "
-                           f"pair of numbers per channel")
+        raise InputError(f"{where}key 'stats' must hold one {{mean, std}} "
+                         f"pair of numbers per channel")
     for name, s in stats.items():
         check_fields(f"{where}stats.{name}: ", s, _STATS)
 
@@ -331,16 +287,21 @@ def load_dataset(manifest_path: str):
         with open(manifest_path) as f:
             d = json.load(f)
     except json.JSONDecodeError as e:
-        raise SurfaceError(f"{manifest_path}: not valid JSON ({e})") from e
+        raise InputError(f"{manifest_path}: not valid JSON ({e})") from e
     where = f"{manifest_path}: "
     check_dataset_fields(d, where)
     subjects = check_fields(where, d, {"subjects": (list, None, "a list")})
     ids = set()
     for i, entry in enumerate(subjects["subjects"]):
         sid = check_fields(f"{where}subject {i}: ", entry, _SUBJECT)["id"]
+        # an id is a CSV field of the explain output and part of its file
+        # names
+        if not sid or "," in sid or "\n" in sid or "\r" in sid:
+            raise InputError(f"{where}subject {i}: key 'id' must be nonempty "
+                             f"and hold no ',' or line break, got {sid!r}")
         if sid in ids:
-            raise SurfaceError(f"{where}subject {i}: key 'id' must be "
-                               f"unique, got {sid!r} again")
+            raise InputError(f"{where}subject {i}: key 'id' must be "
+                             f"unique, got {sid!r} again")
         ids.add(sid)
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
@@ -392,31 +353,13 @@ def write_ply(path: str, mesh: IcosphereMesh,
     else:
         column = np.asarray(scalar, dtype=np.float64)
         if column.shape != (mesh.n_vertices,):
-            raise SurfaceError(f"scalar must have shape ({mesh.n_vertices},)"
-                               f", one value per vertex, got {column.shape}")
+            raise InputError(f"scalar must have shape ({mesh.n_vertices},)"
+                             f", one value per vertex, got {column.shape}")
         lines.append(f"property float {scalar_name}")
         vertex_block = mesh._ply_rows % tuple(
             np.where(np.isfinite(column), column, np.nan).tolist())
     lines += [f"element face {mesh.n_faces}",
               "property list uchar int vertex_indices", "end_header"]
     text = "\n".join(lines) + "\n" + vertex_block + mesh._ply_faces
-    _atomic_write(path, text.encode())
+    atomic_write(path, text.encode())
 
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """The one way the program writes a file: through a temporary file in
-    the same directory, so a reader sees the old file or the new one, never
-    a part. An OSError names `path`, not the temporary file."""
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-        tmp = None
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, path) from e
-    finally:
-        if tmp is not None:
-            os.unlink(tmp)

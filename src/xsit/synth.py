@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import surface as surf
+from .files import InputError, atomic_write, checked
 
 
 # key -> (type, test, description) of each spec setting
@@ -56,21 +57,21 @@ class SynthSpec:
 
     def __post_init__(self):
         for key, f in FIELDS.items():
-            setattr(self, key, surf.checked("", key, getattr(self, key), f))
+            setattr(self, key, checked("", key, getattr(self, key), f))
         self.lesion_patches = [
-            surf.checked("", f"lesion_patches[{i}]", v, (int, None, ""))
+            checked("", f"lesion_patches[{i}]", v, (int, None, ""))
             for i, v in enumerate(self.lesion_patches)]
         if self.counts.keys() != {"train", "val", "test"}:
-            raise surf.SurfaceError(
+            raise InputError(
                 f"key 'counts' needs one integer for each of train, val, "
                 f"test, got {self.counts!r}")
-        self.counts = {k: surf.checked("", f"counts.{k}", v,
-                                       (int, lambda n: n >= 1, ">= 1"))
+        self.counts = {k: checked("", f"counts.{k}", v,
+                                  (int, lambda n: n >= 1, ">= 1"))
                        for k, v in self.counts.items()}
         n_total = surf.face_count(self.patch_order) * self.hemispheres
         if any(not 0 <= i < n_total for i in self.lesion_patches):
-            raise surf.SurfaceError(f"key 'lesion_patches' holds a patch "
-                                    f"index out of range [0, {n_total})")
+            raise InputError(f"key 'lesion_patches' holds a patch "
+                             f"index out of range [0, {n_total})")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -118,7 +119,7 @@ def lesion_vertices(spec: SynthSpec,
                     partition: surf.PatchPartition) -> np.ndarray:
     """Sorted vertex indices (per full V_total indexing) covered by the
     lesion, read off the partition's one patch-to-vertex map."""
-    ids = surf._vertex_ids(partition, spec.hemispheres)
+    ids = surf.vertex_ids(partition, spec.hemispheres)
     return np.unique(ids[spec.lesion_patches])
 
 
@@ -162,8 +163,8 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
         stats = surf.compute_stats(train, channels)
     for s, feats in zip(subjects, made):
         if not np.isfinite(feats).all():
-            raise surf.SurfaceError(f"the data it makes: subject {s['id']}: "
-                                    f"non-finite feature values")
+            raise InputError(f"the data it makes: subject {s['id']}: "
+                             f"non-finite feature values")
     manifest = surf.DatasetManifest(
         mesh_order=spec.mesh_order, patch_order=spec.patch_order,
         hemispheres=spec.hemispheres, channels=channels, stats=stats,
@@ -173,9 +174,8 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
     for s, feats in zip(subjects, made):
         surf.save_sample(os.path.join(out_dir, s["path"]), feats)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    surf._atomic_write(manifest_path,
-                       json.dumps(manifest.to_dict(), sort_keys=True,
-                                  indent=2).encode())
-    surf._atomic_write(os.path.join(out_dir, "synth_spec.json"),
-                       spec.to_json().encode())
+    atomic_write(manifest_path, json.dumps(manifest.to_dict(), sort_keys=True,
+                                           indent=2).encode())
+    atomic_write(os.path.join(out_dir, "synth_spec.json"),
+                 spec.to_json().encode())
     return manifest_path

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .surface import _atomic_write, check_fields
+from .files import InputError, atomic_write, check_fields
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -68,7 +68,7 @@ _ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
 
 
 class TensorError(ValueError):
-    pass
+    """A misuse of the autodiff; a bad file is a `files.InputError`."""
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -616,46 +616,46 @@ def save_arrays(path: str, arrays: dict, meta: dict | None = None) -> None:
         offset += len(raw)
     header = json.dumps({"meta": meta or {}, "arrays": entries},
                         sort_keys=True).encode()
-    _atomic_write(path, b"".join(
+    atomic_write(path, b"".join(
         [_MAGIC, len(header).to_bytes(4, "little"), header, *payloads]))
 
 
 def load_arrays(path: str):
     """Returns (arrays: dict[str, np.ndarray], meta: dict). A header, an
     entry or an array that save_arrays would not have written, or that
-    does not fit the file, is a ValueError naming the file and the key."""
+    does not fit the file, is an InputError naming the file and the key."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
-            raise TensorError(f"{path}: not a checkpoint container")
+            raise InputError(f"{path}: not a checkpoint container")
         blob = f.read()
     hlen = int.from_bytes(blob[:4], "little")
     if len(blob) < 4 + hlen:
-        raise TensorError(f"{path}: header of {hlen} bytes, file truncated")
+        raise InputError(f"{path}: header of {hlen} bytes, file truncated")
     try:
         header = json.loads(blob[4:4 + hlen])
     except ValueError as e:
-        raise TensorError(f"{path}: corrupt header ({e})") from e
+        raise InputError(f"{path}: corrupt header ({e})") from e
     if not isinstance(header, dict):
-        raise TensorError(f"{path}: header must be an object, got "
-                          f"{type(header).__name__}")
+        raise InputError(f"{path}: header must be an object, got "
+                         f"{type(header).__name__}")
     for key in ("meta", "arrays"):
         if not isinstance(header.get(key), dict):
-            raise TensorError(f"{path}: header key '{key}' must hold an "
-                              f"object")
+            raise InputError(f"{path}: header key '{key}' must hold an "
+                             f"object")
     payload = memoryview(blob)[4 + hlen:]
     arrays = {}
     for name, ent in header["arrays"].items():
         check_fields(f"{path}: entry '{name}': ", ent, _ENTRY)
         start, end = ent["offset"], ent["offset"] + ent["nbytes"]
         if ent["nbytes"] != math.prod(ent["shape"]) * 4:
-            raise TensorError(f"{path}: entry '{name}' has {ent['nbytes']} "
-                              f"bytes for shape {ent['shape']} of float32")
+            raise InputError(f"{path}: entry '{name}' has {ent['nbytes']} "
+                             f"bytes for shape {ent['shape']} of float32")
         if end > len(payload):
-            raise TensorError(f"{path}: entry '{name}' ends at payload byte "
-                              f"{end} of {len(payload)}, file truncated")
+            raise InputError(f"{path}: entry '{name}' ends at payload byte "
+                             f"{end} of {len(payload)}, file truncated")
         arr = np.frombuffer(payload[start:end], dtype="<f4")
         if not np.isfinite(arr).all():
-            raise TensorError(f"{path}: entry '{name}' holds non-finite "
-                              f"values")
+            raise InputError(f"{path}: entry '{name}' holds non-finite "
+                             f"values")
         arrays[name] = arr.reshape(ent["shape"]).copy()
     return arrays, header["meta"]

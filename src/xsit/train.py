@@ -14,7 +14,8 @@ import numpy as np
 from . import encoder as enc
 from . import psp
 from . import surface as surf
-from .config import DEFAULTS, ConfigError, check_settings
+from .config import DEFAULTS, check_settings
+from .files import InputError, atomic_write, check_fields
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
@@ -92,7 +93,7 @@ class Model:
         return self.part
 
 
-for _key in surf._DATASET:  # model.mesh_order, ..., model.stats
+for _key in surf.DATASET_KEYS:  # model.mesh_order, ..., model.stats
     setattr(Model, _key, _from_meta(_key))
 
 
@@ -113,15 +114,15 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     checks."""
     try:
         surf.check_dataset_fields(meta)
-        surf.check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
+        check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
         if not isinstance(meta.get("encoder"), dict):
-            raise ConfigError("key 'encoder' must be an object")
+            raise InputError("key 'encoder' must be an object")
         given = check_settings("", {
             **{f"psp.{k}": meta[k] for k in DEFAULTS["psp"]},
             **{f"encoder.{k}": v for k, v in meta["encoder"].items()}})
         for key in DEFAULTS["encoder"]:
             if f"encoder.{key}" not in given:
-                raise ConfigError(f"missing key 'encoder.{key}'")
+                raise InputError(f"missing key 'encoder.{key}'")
         part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
         n_total = part.n_patches * meta["hemispheres"]
         ecfg = enc.EncoderConfig(**{k: given[f"encoder.{k}"]
@@ -153,7 +154,7 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
 def init_model(cfg: dict, manifest: surf.DatasetManifest) -> Model:
     """A fresh model; its initial arrays are drawn from train.seed."""
     seed = cfg["train"]["seed"]
-    meta = {k: getattr(manifest, k) for k in surf._DATASET}
+    meta = {k: getattr(manifest, k) for k in surf.DATASET_KEYS}
     meta.update(cfg["psp"], encoder=dict(cfg["encoder"]),
                 config=copy.deepcopy(cfg))
 
@@ -268,8 +269,8 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.xck"), model)
         write_history_csv(os.path.join(out_dir, "metrics.csv"), history)
-        surf._atomic_write(os.path.join(out_dir, "config.resolved.json"),
-                           json.dumps(cfg, indent=2, sort_keys=True).encode())
+        atomic_write(os.path.join(out_dir, "config.resolved.json"),
+                     json.dumps(cfg, indent=2, sort_keys=True).encode())
     return model, history
 
 
@@ -278,7 +279,7 @@ def write_history_csv(path: str, history) -> None:
     for row in history:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
                               for x in row))
-    surf._atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -288,7 +289,7 @@ def save_checkpoint(path: str, model: Model) -> None:
     `<path>.provenance.json`; the two files travel together."""
     save_arrays(path, {k: t.data for k, t in model.params.items()},
                 model.meta)
-    surf._atomic_write(path + ".provenance.json", json.dumps(
+    atomic_write(path + ".provenance.json", json.dumps(
         model.bank.provenance, sort_keys=True).encode())
 
 
@@ -306,8 +307,8 @@ def load_checkpoint(path: str) -> Model:
             p is None or isinstance(p, list) and len(p) == 2 for p in prov):
         raise TrainError(f"{side}: expected a list of null or "
                          f"[subject_id, epoch] entries")
-    prov = [p and tuple(surf.check_fields(f"{side}: entry {i}: ",
-                                          dict(zip(_PROVENANCE, p)),
-                                          _PROVENANCE).values())
+    prov = [p and tuple(check_fields(f"{side}: entry {i}: ",
+                                     dict(zip(_PROVENANCE, p)),
+                                     _PROVENANCE).values())
             for i, p in enumerate(prov)]
     return _assemble(meta, arrays, prov, path)

@@ -694,6 +694,27 @@ class TestExplain:
                        "channels, 0 to 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode,flag", [
+        ("group", ["--subject", "s0024"]),
+        ("individual", ["--channel", "0"]),
+        ("prototypes", ["--extra-checkpoints", "other.xck"])],
+        ids=["subject", "channel", "extra-checkpoints"])
+    def test_flag_of_another_mode_stops_before_reading(self, tmp_path,
+                                                       capsys, mode, flag):
+        """The checkpoint and data do not exist: the flag is refused
+        before either is opened."""
+        out = tmp_path / "fx"
+        rc = cli.main(["explain", "--checkpoint", str(tmp_path / "none"),
+                       "--data", str(tmp_path / "none"), "--mode", mode,
+                       *flag, "--out", str(out)])
+        assert rc == 1
+        owner = {"--subject": "individual", "--channel": "prototypes",
+                 "--extra-checkpoints": "overlap"}[flag[0]]
+        assert capsys.readouterr().err == (
+            f"error: {flag[0]} is read by --mode {owner} only, not by "
+            f"--mode {mode}\n")
+        assert not out.exists()
+
     def test_prototypes_of_unprojected_checkpoint(self, workspace, tmp_path,
                                                   capsys):
         _, data, _ = workspace

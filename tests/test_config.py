@@ -4,6 +4,7 @@ import re
 import pytest
 
 from xsit import config as cfgmod
+from xsit.files import InputError
 
 
 class TestLoadConfig:
@@ -26,13 +27,13 @@ class TestLoadConfig:
     def test_unknown_section(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"nope": {}}))
-        with pytest.raises(cfgmod.ConfigError, match="section"):
+        with pytest.raises(InputError, match="section"):
             cfgmod.load_config(str(p))
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"train": {"nope": 1}}))
-        with pytest.raises(cfgmod.ConfigError, match="train.nope"):
+        with pytest.raises(InputError, match="train.nope"):
             cfgmod.load_config(str(p))
 
     def test_overrides_win_over_file(self, tmp_path):
@@ -47,7 +48,7 @@ class TestLoadConfig:
         assert isinstance(cfg["train"]["lr"], float)
 
     def test_bad_override_key(self):
-        with pytest.raises(cfgmod.ConfigError):
+        with pytest.raises(InputError):
             cfgmod.load_config(overrides={"train.nope": 1})
 
 
@@ -57,9 +58,9 @@ class TestTrainConfig:
         assert t["epochs"] == 30 and t["projection_period"] == 5
 
     def test_rejects_bad_values(self):
-        with pytest.raises(cfgmod.ConfigError):
+        with pytest.raises(InputError):
             cfgmod.load_config(overrides={"train.projection_period": 0})
-        with pytest.raises(cfgmod.ConfigError):
+        with pytest.raises(InputError):
             cfgmod.load_config(overrides={"train.epochs": -1})
 
 
@@ -72,13 +73,13 @@ class TestBounds:
         ("train.epochs", -1), ("encoder.heads", 5), ("encoder.dim", 0),
         ("encoder.depth", -1), ("train.seed", -1)])
     def test_rejected_naming_the_key(self, key, val):
-        with pytest.raises(cfgmod.ConfigError, match=re.escape(key)):
+        with pytest.raises(InputError, match=re.escape(key)):
             cfgmod.load_config(overrides={key: val})
 
     def test_encoder_section_from_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"encoder": {"dim": 20, "heads": 3}}))
-        with pytest.raises(cfgmod.ConfigError, match="encoder.heads"):
+        with pytest.raises(InputError, match="encoder.heads"):
             cfgmod.load_config(str(p))
 
     def test_lowest_values_pass(self):
@@ -97,28 +98,28 @@ class TestStrictTypes:
         return str(p)
 
     def test_data_section_is_gone(self, tmp_path):
-        with pytest.raises(cfgmod.ConfigError, match="data.normalize"):
+        with pytest.raises(InputError, match="data.normalize"):
             cfgmod.load_config(overrides={"data.normalize": "false"})
-        with pytest.raises(cfgmod.ConfigError, match="section 'data'"):
+        with pytest.raises(InputError, match="section 'data'"):
             cfgmod.load_config(self.write(tmp_path,
                                           {"data": {"normalize": False}}))
 
     def test_bool_only_from_json_bools(self, tmp_path):
         for val in ("no", "yes", "1", 1, 0):
-            with pytest.raises(cfgmod.ConfigError, match="true or false"):
+            with pytest.raises(InputError, match="true or false"):
                 cfgmod.load_config(overrides={"train.class_weighted": val})
-        with pytest.raises(cfgmod.ConfigError, match="class_weighted"):
+        with pytest.raises(InputError, match="class_weighted"):
             cfgmod.load_config(self.write(
                 tmp_path, {"train": {"class_weighted": "no"}}))
         cfg = cfgmod.load_config(overrides={"train.class_weighted": "false"})
         assert cfg["train"]["class_weighted"] is False
 
     def test_int_rejects_fractions(self, tmp_path):
-        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+        with pytest.raises(InputError, match="an integer"):
             cfgmod.load_config(overrides={"train.epochs": "2.7"})
-        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+        with pytest.raises(InputError, match="an integer"):
             cfgmod.load_config(self.write(tmp_path, {"train": {"epochs": 2.7}}))
-        with pytest.raises(cfgmod.ConfigError, match="an integer"):
+        with pytest.raises(InputError, match="an integer"):
             cfgmod.load_config(overrides={"train.epochs": True})
         cfg = cfgmod.load_config(overrides={"train.epochs": "5.0"})
         assert cfg["train"]["epochs"] == 5
@@ -133,34 +134,34 @@ class TestStrictTypes:
 
     def test_file_must_map_sections_to_objects(self, tmp_path):
         for bad in ([], {"train": 5}):
-            with pytest.raises(cfgmod.ConfigError, match="sections"):
+            with pytest.raises(InputError, match="sections"):
                 cfgmod.load_config(self.write(tmp_path, bad))
 
     def test_file_not_json_names_the_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"train": {lr: 1}}')
-        with pytest.raises(cfgmod.ConfigError,
+        with pytest.raises(InputError,
                            match=re.escape(f"{path}: not valid JSON")):
             cfgmod.load_config(str(path))
 
     def test_file_string_is_not_a_number(self, tmp_path):
-        with pytest.raises(cfgmod.ConfigError, match="train.lr"):
+        with pytest.raises(InputError, match="train.lr"):
             cfgmod.load_config(self.write(tmp_path,
                                           {"train": {"lr": "0.001"}}))
 
     def test_dropout_below_one(self):
-        with pytest.raises(cfgmod.ConfigError, match=r"\[0, 1\)"):
+        with pytest.raises(InputError, match=r"\[0, 1\)"):
             cfgmod.load_config(overrides={"encoder.dropout": "1.0"})
-        with pytest.raises(cfgmod.ConfigError, match=r"\[0, 1\)"):
+        with pytest.raises(InputError, match=r"\[0, 1\)"):
             cfgmod.load_config(overrides={"encoder.dropout": "-0.1"})
         cfg = cfgmod.load_config(overrides={"encoder.dropout": "0.99"})
         assert cfg["encoder"]["dropout"] == 0.99
 
     def test_lr_positive_and_weight_decay_nonnegative(self):
         for lr in ("0", "-1"):
-            with pytest.raises(cfgmod.ConfigError, match="train.lr"):
+            with pytest.raises(InputError, match="train.lr"):
                 cfgmod.load_config(overrides={"train.lr": lr})
-        with pytest.raises(cfgmod.ConfigError, match="weight_decay"):
+        with pytest.raises(InputError, match="weight_decay"):
             cfgmod.load_config(overrides={"train.weight_decay": "-1e-3"})
         cfg = cfgmod.load_config(overrides={"train.weight_decay": "0"})
         assert cfg["train"]["weight_decay"] == 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xsit import surface as surf
+from xsit.files import InputError
 
 # sha256 of build_icosphere(o).vertices/.faces bytes, as first built by
 # the per-edge Python subdivision; an ulp drift in a midpoint fails here
@@ -76,7 +77,7 @@ class TestIcosphere:
         assert (np.einsum("ij,ij->i", normals, centroids) > 0).all()
 
     def test_negative_order(self):
-        with pytest.raises(surf.SurfaceError):
+        with pytest.raises(InputError):
             surf.build_icosphere(-1)
 
 
@@ -133,7 +134,7 @@ class TestPartition:
         assert 20 * 4 ** 2 == 320
 
     def test_p_greater_than_d(self):
-        with pytest.raises(surf.SurfaceError):
+        with pytest.raises(InputError):
             surf.build_partition(1, 2)
 
 
@@ -167,7 +168,7 @@ class TestPatchify:
 
     def test_dimension_mismatch(self):
         part = surf.build_partition(2, 1)
-        with pytest.raises(surf.SurfaceError):
+        with pytest.raises(InputError):
             surf.patchify(
                 surf.SurfaceSample("a", 0, np.zeros((10, 1), np.float32)),
                 part, 1)
@@ -255,7 +256,7 @@ class TestDatasetIO:
     def test_length_mismatch(self, tmp_path):
         path, _ = self._write_dataset(tmp_path)
         (tmp_path / "s0.f32").write_bytes(b"\x00" * 8)
-        with pytest.raises(surf.SurfaceError, match="bytes"):
+        with pytest.raises(InputError, match="bytes"):
             surf.load_dataset(str(path))
 
     def test_missing_file(self, tmp_path):
@@ -269,7 +270,7 @@ class TestDatasetIO:
         data = json.loads(path.read_text())
         data["subjects"][0]["split"] = "holdout"
         path.write_text(json.dumps(data))
-        with pytest.raises(surf.SurfaceError, match="split"):
+        with pytest.raises(InputError, match="split"):
             surf.load_dataset(str(path))
 
     @pytest.mark.parametrize("edit,message", [
@@ -288,35 +289,35 @@ class TestDatasetIO:
         (lambda d: d["subjects"][2].update(id="x/y"),
          "subject 2: key 'id' must be a string without '/', got 'x/y'"),
         (lambda d: d["stats"]["curv"].update(std=-1),
-         "stats.curv: key 'std' must be a number > 0, got -1")])
+         "stats.curv: key 'std' must be a number > 0, got -1"),
+        (lambda d: d["subjects"][2].update(id="a,b"),
+         "subject 2: key 'id' must be nonempty and hold no ',' or line "
+         "break, got 'a,b'"),
+        (lambda d: d["subjects"][1].update(id=""),
+         "subject 1: key 'id' must be nonempty and hold no ',' or line "
+         "break, got ''"),
+        (lambda d: d["subjects"][0].update(id="x\ny"),
+         "subject 0: key 'id' must be nonempty and hold no ',' or line "
+         "break, got 'x\\ny'"),
+        (lambda d: d["subjects"][3].update(id="x\r"),
+         "subject 3: key 'id' must be nonempty and hold no ',' or line "
+         "break, got 'x\\r'")])
     def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,
                                                       message):
         path, _ = self._write_dataset(tmp_path)
         data = json.loads(path.read_text())
         edit(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(surf.SurfaceError,
+        with pytest.raises(InputError,
                            match=re.escape(f"{path}: {message}")):
             surf.load_dataset(str(path))
 
     def test_manifest_not_json(self, tmp_path):
         path, _ = self._write_dataset(tmp_path)
         path.write_text(path.read_text()[:-1])
-        with pytest.raises(surf.SurfaceError,
+        with pytest.raises(InputError,
                            match=re.escape(f"{path}: not valid JSON")):
             surf.load_dataset(str(path))
-
-
-class TestAtomicWrite:
-    def test_failed_replace_names_the_path_and_leaves_nothing(self,
-                                                              tmp_path):
-        target = tmp_path / "taken"
-        target.mkdir()
-        with pytest.raises(OSError) as info:
-            surf._atomic_write(str(target), b"data")
-        assert str(info.value).endswith(f": '{target}'")
-        assert ".tmp-" not in str(info.value)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestPly:
@@ -369,7 +370,7 @@ class TestPly:
                              ids=lambda s: "x".join(map(str, s)) or "0-d")
     def test_scalar_must_be_one_value_per_vertex(self, tmp_path, shape):
         p = tmp_path / "m.ply"
-        with pytest.raises(surf.SurfaceError,
+        with pytest.raises(InputError,
                            match=re.escape(f"must have shape (12,), one "
                                            f"value per vertex, got {shape}")):
             surf.write_ply(str(p), surf.build_icosphere(0),

@@ -9,6 +9,7 @@ import pytest
 
 import xsit
 from xsit import tensor
+from xsit.files import InputError
 from xsit.tensor import (AdamW, Tensor, TensorError, erf, load_arrays,
                          save_arrays)
 
@@ -503,7 +504,7 @@ class TestCheckpointContainer:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
         p.write_bytes(b"not a checkpoint")
-        with pytest.raises(TensorError, match="container"):
+        with pytest.raises(InputError, match="container"):
             load_arrays(str(p))
 
     def test_truncated_or_inconsistent(self, tmp_path):
@@ -514,17 +515,17 @@ class TestCheckpointContainer:
         whole = open(path, "rb").read()
         p = tmp_path / "cut"
         p.write_bytes(whole[:-100])           # the end of "a" and all of "b"
-        with pytest.raises(TensorError, match=r"cut: entry 'a'.*truncated"):
+        with pytest.raises(InputError, match=r"cut: entry 'a'.*truncated"):
             load_arrays(str(p))
         p.write_bytes(whole[:20])             # inside the header
-        with pytest.raises(TensorError, match=r"cut: header.*truncated"):
+        with pytest.raises(InputError, match=r"cut: header.*truncated"):
             load_arrays(str(p))
         p.write_bytes(whole[:10])             # inside the header length
-        with pytest.raises(TensorError, match="truncated"):
+        with pytest.raises(InputError, match="truncated"):
             load_arrays(str(p))
         hlen = int.from_bytes(whole[8:12], "little")
         header = whole[12:12 + hlen].replace(b'"nbytes": 12', b'"nbytes": 16')
         p.write_bytes(whole[:8] + len(header).to_bytes(4, "little") + header
                       + whole[12 + hlen:])
-        with pytest.raises(TensorError, match=r"entry 'b' has 16 bytes"):
+        with pytest.raises(InputError, match=r"entry 'b' has 16 bytes"):
             load_arrays(str(p))

@@ -260,7 +260,7 @@ class TestCheckpoint:
                                                      manifest))
         _, meta = load_arrays(path)
         model = train.load_checkpoint(path)
-        for key in surf._DATASET:
+        for key in surf.DATASET_KEYS:
             assert getattr(model, key) == meta[key] == getattr(manifest, key)
             assert getattr(model, key) is model.meta[key]
 
