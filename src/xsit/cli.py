@@ -77,8 +77,8 @@ def _cmd_gen_data(args) -> int:
         text = f.read()
     try:
         manifest = synth.generate(synth.SynthSpec.from_json(text), args.out)
-    except ValueError as e:
-        raise ValueError(f"{args.spec}: {e}") from e
+    except InputError as e:
+        raise InputError(f"{args.spec}: {e}") from e
     print(f"wrote {manifest}")
     return 0
 
@@ -105,7 +105,7 @@ def _read(args, stats: bool = False):
     for key in (k for k in surf.DATASET_KEYS if stats or k != "stats"):
         want, got = getattr(model, key), getattr(manifest, key)
         if got != want:
-            raise ValueError(f"{path}: key '{key}' must be the model's "
+            raise InputError(f"{path}: key '{key}' must be the model's "
                              f"{want!r}, got {got!r}")
     return model, splits
 
@@ -113,7 +113,7 @@ def _read(args, stats: bool = False):
 def _cmd_eval(args) -> int:
     model, splits = _read(args)
     if not splits[args.split]:
-        raise ValueError(f"split '{args.split}' is empty")
+        raise InputError(f"split '{args.split}' is empty")
     report = tr.evaluate(model, splits[args.split])
     print(json.dumps({"split": args.split, **asdict(report)},
                      sort_keys=True))
@@ -133,7 +133,7 @@ def _cmd_explain(args) -> int:
     if args.mode == "overlap":  # compares checkpoints only
         model = tr.load_checkpoint(args.checkpoint)
     elif args.data is None:
-        raise ValueError(f"--mode {args.mode} needs --data")
+        raise InputError(f"--mode {args.mode} needs --data")
     else:
         # `prototypes` reads training subjects by id: the data must be the
         # model's own, whose stats name the training split they came from
@@ -144,10 +144,10 @@ def _cmd_explain(args) -> int:
         if args.subject is not None:
             samples = [s for s in samples if s.subject_id == args.subject]
             if not samples:
-                raise ValueError(f"subject '{args.subject}' is not in split "
+                raise InputError(f"subject '{args.subject}' is not in split "
                                  f"'{args.split}'")
         if not samples:
-            raise ValueError(f"split '{args.split}' is empty")
+            raise InputError(f"split '{args.split}' is empty")
         for s in samples:
             per_patch, per_vertex, _ = expl.activation_map(s, model)
             maps.append((f"activation_{s.subject_id}", per_patch, per_vertex))
@@ -159,7 +159,7 @@ def _cmd_explain(args) -> int:
     elif args.mode == "prototypes":
         n, c = len(model.channels), args.channel or 0
         if not 0 <= c < n:
-            raise ValueError(f"--channel {c}: the model has {n} channels, "
+            raise InputError(f"--channel {c}: the model has {n} channels, "
                              f"0 to {n - 1}")
         maps.append((f"prototype_{model.channels[c]}", None,
                      expl.export_prototype_surface(model, splits["train"], c)))

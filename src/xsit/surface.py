@@ -295,10 +295,12 @@ def load_dataset(manifest_path: str):
     for i, entry in enumerate(subjects["subjects"]):
         sid = check_fields(f"{where}subject {i}: ", entry, _SUBJECT)["id"]
         # an id is a CSV field of the explain output and part of its file
-        # names
-        if not sid or "," in sid or "\n" in sid or "\r" in sid:
+        # names, which the OS refuses with a NUL
+        if not sid or "," in sid or "\n" in sid or "\r" in sid \
+                or "\0" in sid:
             raise InputError(f"{where}subject {i}: key 'id' must be nonempty "
-                             f"and hold no ',' or line break, got {sid!r}")
+                             f"and hold no ',', line break or NUL, got "
+                             f"{sid!r}")
         if sid in ids:
             raise InputError(f"{where}subject {i}: key 'id' must be "
                              f"unique, got {sid!r} again")

@@ -78,17 +78,17 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        """The spec a JSON object gives; a ValueError names the first key
+        """The spec a JSON object gives; an InputError names the first key
         that is unknown or does not pass FIELDS."""
         try:
             d = json.loads(text)
         except ValueError as e:
-            raise ValueError(f"not valid JSON ({e})") from e
+            raise InputError(f"not valid JSON ({e})") from e
         if not isinstance(d, dict):
-            raise ValueError("a spec must be a JSON object")
+            raise InputError("a spec must be a JSON object")
         for key in d:
             if key not in FIELDS:
-                raise ValueError(f"unknown key '{key}'")
+                raise InputError(f"unknown key '{key}'")
         return cls(**d)
 
 

@@ -25,9 +25,13 @@ _INV_SQRT2PI = 0.3989422804014327
 # one block of scores, probabilities and score gradient exists at a time,
 # and it stays in cache between the products. Forward+backward of a
 # [16, 6, 80, 80] attention with dropout (one BLAS thread, 4 MB L2) took
-# 3.70 ms at 512 KB, 3.96 at 256 KB, 3.83 at 1 MB and 4.35 unblocked. A
-# [640, 640] slice is larger than a block, so paper-scale blocks are one
-# slice each.
+# 3.70 ms at 512 KB, 3.96 at 256 KB, 3.83 at 1 MB and 4.35 unblocked.
+# It also decides what a node on the tape keeps for its backward: the
+# probabilities while one slice fits in a block, else each row's max and
+# sum of exponentials, from which the backward recomputes each block's
+# probabilities. A [640, 640] slice is larger than a block, so paper-scale
+# blocks are one slice each and recompute. A [80, 80] slice fits, and
+# there recomputing cost 5% of the `bench-train` benchmark's training.
 _ATTN_BLOCK = 1 << 19
 
 # float32 erf: the rational x·P(x²)/Q(x²) of Eigen's and XLA's float
@@ -149,11 +153,17 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _softmax_(z: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along axis, computed in place in z."""
-    z -= z.max(axis=axis, keepdims=True)
+def _softmax_(z: np.ndarray, axis: int, rows=None) -> np.ndarray:
+    """Softmax along axis, computed in place in z. With rows, a pair of
+    arrays of z's shape but 1 along axis, each row's max and sum of
+    exponentials are stored in them."""
+    top = z.max(axis=axis, keepdims=True)
+    z -= top
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    total = z.sum(axis=axis, keepdims=True)
+    z /= total
+    if rows is not None:
+        rows[0][...], rows[1][...] = top, total
     return z
 
 
@@ -364,15 +374,17 @@ class Tensor:
         at rate p, the probabilities get inverted dropout first: kept ones
         are scaled by `keep_scale(p)`, the rest zeroed.
 
-        The node keeps the softmax output y and the mask, nothing else of
-        [..., S, S] shape. Forward and backward run in blocks of whole
-        [S, S] slices, about `_ATTN_BLOCK` bytes of scores each, so the
-        scores, the dropped probabilities and the score gradient exist one
-        block at a time; the backward recomputes the dropped probabilities.
-        No row is split and every product is one BLAS call per slice, so
-        the arithmetic, and the bytes, are those of matmul, a mul by the
-        scale in the dtype, softmax, a mask mul and matmul as separate
-        nodes.
+        Forward and backward run in blocks of whole [S, S] slices, about
+        `_ATTN_BLOCK` bytes of scores each, so the scores, the dropped
+        probabilities and the score gradient exist one block at a time.
+        Of [..., S, S] shape a node on the tape keeps the mask and, while
+        one slice fits in a block, the softmax output y. A larger slice
+        keeps only each row's max and sum of exponentials ([..., S, 1]),
+        and the backward recomputes the probabilities from q, k and those
+        two. A node off the tape keeps nothing. No row is split and every
+        product is one BLAS call per slice, so the arithmetic, and the
+        bytes, are those of matmul, a mul by the scale in the dtype,
+        softmax, a mask mul and matmul as separate nodes.
         """
         k, v = self._coerce(k), self._coerce(v)
         if self.ndim < 2 or k.shape != self.shape or v.shape != self.shape:
@@ -394,7 +406,8 @@ class Tensor:
         def grid(a):
             return a.reshape(r, m, s, a.shape[-1])
 
-        step = max(1, _ATTN_BLOCK // max(1, s * s * self.data.itemsize))
+        fit = _ATTN_BLOCK // max(1, s * s * self.data.itemsize)
+        step = max(1, fit)
         if step >= m:  # blocks of whole grid rows
             rows = step // max(1, m)
             blocks = [slice(i, i + rows) for i in range(0, r, rows)]
@@ -411,22 +424,44 @@ class Tensor:
             return dst
 
         q4, k4, v4 = grid(self.data), grid(k.data), grid(v.data)
-        y = np.empty((r, m, s, s), dtype)
+
+        def scores(b, out):
+            """Block b's scaled scores, written into out, or into its first
+            rows for a shorter last block."""
+            out = np.matmul(q4[b], np.swapaxes(k4[b], -1, -2),
+                            out=out[:len(q4[b])])
+            out *= scale
+            return out
+
+        tape = self.requires_grad or k.requires_grad or v.requires_grad
+        block = (q4[blocks[0]] if blocks else q4).shape[:-1] + (s,)
+        # y is kept while a slice fits in a block, else the rows' max and
+        # sum; a node off the tape keeps neither
+        y = np.empty((r, m, s, s), dtype) if tape and fit else None
+        top, total = np.empty((2, r, m, s, 1), dtype) if tape and not fit \
+            else (None, None)
+        buf = np.empty(block, dtype) if y is None else None
         ctx = np.empty((r, m, s, dh), dtype)
         for b in blocks:
-            yb = np.matmul(q4[b], np.swapaxes(k4[b], -1, -2), out=y[b])
-            yb *= scale
-            _softmax_(yb, -1)
-            np.matmul(drop(yb, b), v4[b], out=ctx[b])
+            pb = scores(b, buf if y is None else y[b])
+            _softmax_(pb, -1, None if top is None else (top[b], total[b]))
+            np.matmul(drop(pb, b), v4[b], out=ctx[b])
 
         def backward(g):
-            q4, k4, v4, g = map(grid, (self.data, k.data, v.data, g))
+            g = grid(g)
             dq, dk, dv = (np.empty((r, m, s, dh), dtype) for _ in range(3))
+            again = np.empty(block, dtype) if y is None else None
             for b in blocks:
-                np.matmul(np.swapaxes(drop(y[b], b), -1, -2), g[b],
-                          out=dv[b])
+                if y is None:  # the forward's probabilities, recomputed
+                    pb = scores(b, again)
+                    pb -= top[b]
+                    np.exp(pb, out=pb)
+                    pb /= total[b]
+                else:
+                    pb = y[b]
+                np.matmul(np.swapaxes(drop(pb, b), -1, -2), g[b], out=dv[b])
                 ds = np.matmul(g[b], np.swapaxes(v4[b], -1, -2))
-                ds = _softmax_grad_(drop(ds, b, dst=ds), y[b], -1)
+                ds = _softmax_grad_(drop(ds, b, dst=ds), pb, -1)
                 ds *= scale
                 np.matmul(ds, k4[b], out=dq[b])
                 # kᵀ's product is written whole, then transposed into place:

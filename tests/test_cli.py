@@ -10,6 +10,7 @@ from xsit import explain as expl
 from xsit import surface as surf
 from xsit import synth
 from xsit import train
+from xsit.files import InputError
 from xsit.tensor import load_arrays, save_arrays
 
 
@@ -505,6 +506,50 @@ class TestDataMustFitTheModel:
         _, _, run = workspace
         assert cli.main(read_args(run, misfit_data["stats"], command,
                                   tmp_path / "out")) == 0
+
+
+def run_command(argv):
+    """The command's return value, without main's `error:` line: a refused
+    input raises its exception to the caller."""
+    args = cli._parser().parse_args(argv)
+    return cli._COMMANDS[args.command](args)
+
+
+class TestRefusalIsAnInputError:
+    """A refused input raises files.InputError, with the message main
+    prints, so a caller tells it from another ValueError by its type."""
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"mesh_orde": 2}', "unknown key 'mesh_orde'"),
+        ("[1, 2]", "a spec must be a JSON object"),
+        ('{"channels": 0}', "key 'channels' must be >= 1, got 0")])
+    def test_bad_spec(self, tmp_path, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        with pytest.raises(InputError) as e:
+            run_command(["gen-data", "--spec", str(spec),
+                         "--out", str(tmp_path / "d")])
+        assert str(e.value) == f"{spec}: {message}"
+
+    def test_unknown_subject(self, workspace, tmp_path):
+        _, data, run = workspace
+        with pytest.raises(InputError) as e:
+            run_command(["explain", "--checkpoint",
+                         os.path.join(run, "model.xck"), "--data", data,
+                         "--mode", "individual", "--subject", "nobody",
+                         "--out", str(tmp_path / "nx")])
+        assert str(e.value) == "subject 'nobody' is not in split 'test'"
+
+    @pytest.mark.parametrize("command", ["eval", "individual"])
+    def test_data_that_does_not_fit_the_model(self, workspace, misfit_data,
+                                              tmp_path, command):
+        _, _, run = workspace
+        data = misfit_data["channels"]
+        with pytest.raises(InputError) as e:
+            run_command(read_args(run, data, command, tmp_path / "out"))
+        assert str(e.value).startswith(
+            f"{os.path.join(data, 'manifest.json')}: key 'channels' must be "
+            "the model's ")
 
 
 class TestExplain:

@@ -291,17 +291,20 @@ class TestDatasetIO:
         (lambda d: d["stats"]["curv"].update(std=-1),
          "stats.curv: key 'std' must be a number > 0, got -1"),
         (lambda d: d["subjects"][2].update(id="a,b"),
-         "subject 2: key 'id' must be nonempty and hold no ',' or line "
-         "break, got 'a,b'"),
+         "subject 2: key 'id' must be nonempty and hold no ',', line "
+         "break or NUL, got 'a,b'"),
         (lambda d: d["subjects"][1].update(id=""),
-         "subject 1: key 'id' must be nonempty and hold no ',' or line "
-         "break, got ''"),
+         "subject 1: key 'id' must be nonempty and hold no ',', line "
+         "break or NUL, got ''"),
         (lambda d: d["subjects"][0].update(id="x\ny"),
-         "subject 0: key 'id' must be nonempty and hold no ',' or line "
-         "break, got 'x\\ny'"),
+         "subject 0: key 'id' must be nonempty and hold no ',', line "
+         "break or NUL, got 'x\\ny'"),
         (lambda d: d["subjects"][3].update(id="x\r"),
-         "subject 3: key 'id' must be nonempty and hold no ',' or line "
-         "break, got 'x\\r'")])
+         "subject 3: key 'id' must be nonempty and hold no ',', line "
+         "break or NUL, got 'x\\r'"),
+        (lambda d: d["subjects"][2].update(id="a\0b"),
+         "subject 2: key 'id' must be nonempty and hold no ',', line "
+         "break or NUL, got 'a\\x00b'")])
     def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,
                                                       message):
         path, _ = self._write_dataset(tmp_path)

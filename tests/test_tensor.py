@@ -167,18 +167,23 @@ class TestAttention:
         assert fused == composed
 
     @staticmethod
-    def two_slices_per_block(monkeypatch, s, dtype):
+    def slices_per_block(monkeypatch, n, s, dtype):
+        """Blocks of n [s, s] slices; below one slice a node on the tape
+        keeps row statistics and recomputes its probabilities."""
         monkeypatch.setattr(tensor, "_ATTN_BLOCK",
-                            2 * s * s * np.dtype(dtype).itemsize)
+                            int(n * s * s * np.dtype(dtype).itemsize))
 
     # blocks of two [5, 5] slices: (1, 7) is one grid row of 7 slices in 4
     # blocks, (7, 1) 7 rows of one slice in 4 blocks, (3, 3) two blocks per
-    # row; each has a partial last block
+    # row; each has a partial last block. With half a slice per block
+    # ("recompute") every block is one slice.
     @pytest.mark.parametrize("lead", [(1, 7), (7, 1), (3, 3)],
                              ids=["1x7", "7x1", "3x3"])
-    @pytest.mark.parametrize("masked", [True, False], ids=["keep", "nokeep"])
-    def test_bytes_across_blocks(self, monkeypatch, lead, masked):
-        self.two_slices_per_block(monkeypatch, 5, np.float32)
+    @pytest.mark.parametrize("masked,slices", [
+        (True, 2), (False, 2), (True, 0.5), (False, 0.5)],
+        ids=["keep", "nokeep", "keep-recompute", "nokeep-recompute"])
+    def test_bytes_across_blocks(self, monkeypatch, lead, masked, slices):
+        self.slices_per_block(monkeypatch, slices, 5, np.float32)
         rng = np.random.default_rng(17)
         keep = rng.random(lead + (5, 5)) >= 0.1
         c = rng.uniform(-1, 1, size=lead + (5, 3))
@@ -186,15 +191,41 @@ class TestAttention:
             lead + (5, 3), keep if masked else None, c, heads_first=False)
         assert fused == composed
 
-    @pytest.mark.parametrize("lead", [(1, 7), (7, 1)], ids=["1x7", "7x1"])
-    def test_grad_across_blocks(self, monkeypatch, lead):
-        self.two_slices_per_block(monkeypatch, 5, np.float64)
+    @pytest.mark.parametrize("lead,slices", [
+        ((1, 7), 2), ((7, 1), 2), ((1, 7), 0.5), ((7, 1), 0.5)],
+        ids=["1x7", "7x1", "1x7-recompute", "7x1-recompute"])
+    def test_grad_across_blocks(self, monkeypatch, lead, slices):
+        self.slices_per_block(monkeypatch, slices, 5, np.float64)
         rng = np.random.default_rng(18)
         q, k, v = self.qkv(rng, shape=lead + (5, 3))
         keep = rng.random(lead + (5, 5)) >= 0.3
         c = Tensor(rng.uniform(-1, 1, size=q.shape), dtype=np.float64)
         assert_grad_matches(lambda: (q.attention(k, v, keep, 0.3) * c).sum(),
                             [q, k, v])
+
+    @pytest.mark.parametrize("tape", [True, False], ids=["taped", "untaped"])
+    def test_forward_keeps_below_one_score_array(self, tape):
+        """With slices larger than a block, a node on the tape keeps each
+        row's max and sum rather than the probabilities, and neither
+        forward holds more than one block of scores: the traced memory
+        grows, even at its peak, by less than one whole score array."""
+        s = 512
+        assert s * s * 4 > tensor._ATTN_BLOCK
+        shape = (2, 4, s, 4)
+        rng = np.random.default_rng(20)
+        q, k, v = self.qkv(rng, np.float32, shape)
+        for t in (q, k, v):
+            t.requires_grad = tape
+        keep = rng.random(shape[:2] + (s, s)) >= 0.1
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = q.attention(k, v, keep, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad == tape
+        assert peak - start < math.prod(shape[:2]) * s * s * 4
 
     def test_backward_peaks_below_one_score_array(self):
         """The backward's [..., S, S] temporaries exist one block at a
