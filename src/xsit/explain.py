@@ -14,12 +14,8 @@ import numpy as np
 
 from . import psp
 from . import surface as surf
-from .files import atomic_write
+from .files import InputError, atomic_write
 from .train import Model, activations, normalized, predicted_positive
-
-
-class ExplainError(ValueError):
-    pass
 
 
 def activation_map(sample: surf.SurfaceSample, model: Model,
@@ -54,7 +50,7 @@ def group_mean_map(samples: list, model: Model):
     maps = activations(model, normalized(group, model)) if group else []
     maps = [m for m in maps if predicted_positive(m.sum())]
     if not maps:
-        raise ExplainError("group filter matched no samples")
+        raise InputError("group filter matched no samples")
     mean = np.mean(maps, axis=0)
     return mean, vertex_map(mean, model.partition(), model.hemispheres)
 
@@ -72,11 +68,11 @@ def export_prototype_surface(model: Model, train_samples: list,
     for i in np.nonzero(w > 0.0)[0]:
         prov = model.bank.provenance[i]
         if prov is None:
-            raise ExplainError(
+            raise InputError(
                 f"patch {i}: no provenance (checkpoint was never projected)")
         if prov[0] not in by_id:
-            raise ExplainError(f"patch {i}: provenance subject "
-                               f"'{prov[0]}' not in the provided samples")
+            raise InputError(f"patch {i}: provenance subject "
+                             f"'{prov[0]}' not in the provided samples")
         values[i] = surf.patchify(by_id[prov[0]], part,
                                   model.hemispheres)[i, :, channel]
     return surf.unpatchify(values, part, model.hemispheres)
@@ -87,10 +83,10 @@ def prototype_overlap(models: list) -> float:
     at least one model of the pair: a patch agrees when it is active in
     both and both name the same source subject."""
     if len(models) < 2:
-        raise ExplainError("overlap needs at least two checkpoints")
+        raise InputError("overlap needs at least two checkpoints")
     shapes = {(m.mesh_order, m.patch_order, m.hemispheres) for m in models}
     if len(shapes) > 1:
-        raise ExplainError("checkpoints use different partitions")
+        raise InputError("checkpoints use different partitions")
     actives = [psp.sparse_weights(m.scaler.logits).data > 0.0
                for m in models]
     sources = [np.array([p and p[0] for p in m.bank.provenance], object)

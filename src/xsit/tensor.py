@@ -72,7 +72,9 @@ _ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
 
 
 class TensorError(ValueError):
-    """A misuse of the autodiff; a bad file is a `files.InputError`."""
+    """A misuse of the autodiff, or a non-finite value an op produced,
+    which a training step reports with its epoch and batch. A bad file is
+    a `files.InputError`."""
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:

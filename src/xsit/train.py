@@ -19,10 +19,6 @@ from .files import InputError, atomic_write, check_fields
 from .tensor import AdamW, Tensor, TensorError, load_arrays, save_arrays
 
 
-class TrainError(RuntimeError):
-    pass
-
-
 @dataclass
 class MetricsReport:
     bacc: float
@@ -56,7 +52,7 @@ def class_weights(labels) -> tuple:
     n1 = int(labels.sum())
     n0 = total - n1
     if n0 == 0 or n1 == 0:
-        raise TrainError("training split needs both classes")
+        raise InputError("training split needs both classes")
     return total / (2.0 * n0), total / (2.0 * n1)
 
 
@@ -130,7 +126,7 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
                                  seq_len=n_total, patch_size=part.patch_size,
                                  channels=len(meta["channels"]))
     except ValueError as e:
-        raise TrainError(f"{source}: {e}") from e
+        raise InputError(f"{source}: {e}") from e
     arrays = arrays(ecfg) if callable(arrays) else arrays
     shapes = enc.param_shapes(ecfg)
     shapes.update({"psp.xi": (n_total, ecfg.dim), "psp.logits": (n_total,)})
@@ -138,11 +134,11 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
         got = f"shape {arrays[name].shape}" if name in arrays else "nothing"
         want = f"shape {shapes[name]}" if name in shapes else "no such array"
         if got != want:
-            raise TrainError(f"{source}: array '{name}': found {got}, "
+            raise InputError(f"{source}: array '{name}': found {got}, "
                              f"the model needs {want}")
     provenance = [None] * n_total if provenance is None else provenance
     if len(provenance) != n_total:
-        raise TrainError(f"{source}: {len(provenance)} provenance entries "
+        raise InputError(f"{source}: {len(provenance)} provenance entries "
                          f"for {n_total} prototypes")
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     bank = psp.PrototypeBank(params["psp.xi"], provenance)
@@ -197,10 +193,12 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
               out_dir: str | None = None):
     """Train a model; returns (model, history rows). History rows are
     (epoch, train_loss, val_bacc, val_f1) with a trailing 'final' row after
-    the mandatory end-of-training projection."""
+    the mandatory end-of-training projection. An empty train split, an
+    empty val split when epochs > 0, a class-weighted train split of one
+    class and one without a positive subject are InputErrors."""
     tcfg = cfg["train"]
     if not splits["train"] or (tcfg["epochs"] > 0 and not splits["val"]):
-        raise TrainError("train and val splits must be nonempty")
+        raise InputError("train and val splits must be nonempty")
     model = init_model(cfg, manifest)
     part = model.partition()
     train_samples = normalized(splits["train"], model)
@@ -208,7 +206,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     cw = class_weights(labels) if tcfg["class_weighted"] else (1.0, 1.0)
     candidates = [s for s in train_samples if s.label == 1]
     if not candidates:
-        raise TrainError("no projection candidates in the training split")
+        raise InputError("no projection candidates in the training split")
 
     def project(epoch):
         psp.project_prototypes(model.bank, model.params, model.enc_cfg,
@@ -242,8 +240,7 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
                                           model.rectify_prototypes)
                 loss = weighted_bce(p, y, cw)
             except TensorError as e:
-                raise TrainError(
-                    f"epoch {epoch} batch {bi}: {e}") from e
+                raise TensorError(f"epoch {epoch} batch {bi}: {e}") from e
             optim.zero_grad()
             loss.backward()
             optim.step()
@@ -301,11 +298,11 @@ def load_checkpoint(path: str) -> Model:
         with open(side) as f:
             prov = json.load(f)
     except (OSError, ValueError) as e:
-        raise TrainError(f"{side}: cannot read the provenance sidecar "
+        raise InputError(f"{side}: cannot read the provenance sidecar "
                          f"({e})") from e
     if not isinstance(prov, list) or not all(
             p is None or isinstance(p, list) and len(p) == 2 for p in prov):
-        raise TrainError(f"{side}: expected a list of null or "
+        raise InputError(f"{side}: expected a list of null or "
                          f"[subject_id, epoch] entries")
     prov = [p and tuple(check_fields(f"{side}: entry {i}: ",
                                      dict(zip(_PROVENANCE, p)),

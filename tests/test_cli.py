@@ -11,7 +11,7 @@ from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.files import InputError
-from xsit.tensor import load_arrays, save_arrays
+from xsit.tensor import TensorError, load_arrays, save_arrays
 
 
 SPEC = dict(mesh_order=2, patch_order=1, channels=2,
@@ -21,6 +21,13 @@ SPEC = dict(mesh_order=2, patch_order=1, channels=2,
 TRAIN_SETS = ["encoder.dim=16", "encoder.depth=1", "encoder.heads=2",
               "encoder.dropout=0.0", "train.epochs=3", "train.batch_size=8",
               "train.lr=1e-3", "train.projection_period=2"]
+
+# the tiny spec and settings of tests/test_benchmark_tracing.py
+TINY_SPEC = dict(mesh_order=2, patch_order=1, channels=2,
+                 lesion_patches=[3, 11], delta=4.0,
+                 counts={"train": 8, "val": 4, "test": 4}, seed=1)
+TINY_SETS = ["encoder.dim=8", "encoder.depth=1", "encoder.heads=2",
+             "train.epochs=1", "train.batch_size=4"]
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +45,29 @@ def workspace(tmp_path_factory):
         args += ["--set", s]
     assert cli.main(args) == 0
     return ws, str(data), str(run)
+
+
+def gen_tiny(ws, name, **changes):
+    """The data of TINY_SPEC with `changes`, in `ws/name`."""
+    spec = ws / f"{name}.json"
+    spec.write_text(synth.SynthSpec(**dict(TINY_SPEC, **changes)).to_json())
+    assert cli.main(["gen-data", "--spec", str(spec),
+                     "--out", str(ws / name)]) == 0
+    return str(ws / name)
+
+
+def tiny_train_args(data, out, *settings):
+    return ["train", "--data", data, "--out", str(out)] + [
+        a for s in TINY_SETS + list(settings) for a in ("--set", s)]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """TINY_SPEC data, and an unprojected (train.epochs=0) checkpoint."""
+    ws = tmp_path_factory.mktemp("tiny")
+    data = gen_tiny(ws, "data")
+    assert cli.main(tiny_train_args(data, ws / "run0", "train.epochs=0")) == 0
+    return data, str(ws / "run0" / "model.xck")
 
 
 class TestGenData:
@@ -552,6 +582,66 @@ class TestRefusalIsAnInputError:
             "the model's ")
 
 
+    def test_failed_run_is_a_tensor_error(self, tiny, tmp_path):
+        """A training step that makes a non-finite value is a failed run,
+        not a refused input."""
+        data, _ = tiny
+        with pytest.raises(TensorError) as e:
+            run_command(tiny_train_args(data, tmp_path / "run",
+                                        "train.lr=1e30"))
+        assert not isinstance(e.value, InputError)
+        assert str(e.value).startswith("epoch 0 batch 1: encoder block 0: ")
+
+
+class TestRefusalTexts:
+    """Refusals raised deep in a command reach `xsit` as one `error:` line
+    and exit 1, and write nothing."""
+
+    def refused(self, capsys, argv, out, line):
+        rc = cli.main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not os.path.exists(out)
+
+    def test_non_finite_training_step(self, tiny, tmp_path, capsys):
+        # numpy's overflow RuntimeWarnings go through the warnings module,
+        # which pytest records; `xsit` prints them ahead of this line
+        data, _ = tiny
+        out = tmp_path / "run"
+        self.refused(capsys, tiny_train_args(data, out, "train.lr=1e30"), out,
+                     "epoch 0 batch 1: encoder block 0: non-finite values "
+                     "produced by op 'matmul'")
+
+    def test_prototypes_of_unprojected_checkpoint(self, tiny, tmp_path,
+                                                  capsys):
+        data, ckpt = tiny
+        out = tmp_path / "px"
+        self.refused(capsys, ["explain", "--checkpoint", ckpt, "--data", data,
+                              "--mode", "prototypes", "--out", str(out)],
+                     out, "patch 0: no provenance (checkpoint was never "
+                          "projected)")
+
+    def test_overlap_of_different_partitions(self, tiny, tmp_path, capsys):
+        _, ckpt = tiny
+        other = gen_tiny(tmp_path, "order3", mesh_order=3)
+        run = tmp_path / "run3"
+        assert cli.main(tiny_train_args(other, run, "train.epochs=0")) == 0
+        capsys.readouterr()
+        out = tmp_path / "ox"
+        self.refused(capsys, ["explain", "--checkpoint", ckpt, "--mode",
+                              "overlap", "--extra-checkpoints",
+                              str(run / "model.xck"), "--out", str(out)],
+                     out, "checkpoints use different partitions")
+
+    def test_training_split_without_positives(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path, "controls", positive_fraction=0.0)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        self.refused(capsys, tiny_train_args(data, out,
+                                             "train.class_weighted=false"),
+                     out, "no projection candidates in the training split")
+
+
 class TestExplain:
     def test_individual(self, workspace, tmp_path, capsys):
         _, data, run = workspace
@@ -758,25 +848,6 @@ class TestExplain:
         assert capsys.readouterr().err == (
             f"error: {flag[0]} is read by --mode {owner} only, not by "
             f"--mode {mode}\n")
-        assert not out.exists()
-
-    def test_prototypes_of_unprojected_checkpoint(self, workspace, tmp_path,
-                                                  capsys):
-        _, data, _ = workspace
-        run = tmp_path / "run"
-        args = ["train", "--data", data, "--out", str(run)]
-        for s in TRAIN_SETS + ["train.epochs=0"]:
-            args += ["--set", s]
-        assert cli.main(args) == 0
-        capsys.readouterr()
-        out = tmp_path / "px"
-        rc = cli.main(["explain", "--checkpoint", str(run / "model.xck"),
-                       "--data", data, "--mode", "prototypes",
-                       "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: patch 0: no provenance (checkpoint was never "
-            "projected)\n")
         assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.config import load_config
+from xsit.files import InputError
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ class TestGroupMean:
 
     def test_empty_filter_raises(self, trained):
         spec, model, samples = trained
-        with pytest.raises(explain.ExplainError, match="no samples"):
+        with pytest.raises(InputError, match="no samples"):
             explain.group_mean_map([], model)
 
 
@@ -128,7 +129,7 @@ class TestPrototypeSurface:
 
     def test_missing_subject_raises(self, trained):
         spec, model, samples = trained
-        with pytest.raises(explain.ExplainError, match="not in"):
+        with pytest.raises(InputError, match="not in"):
             explain.export_prototype_surface(model, samples["test"], 0)
 
 
@@ -185,7 +186,7 @@ class TestOverlap:
 
     def test_needs_two(self, trained):
         _, model, _ = trained
-        with pytest.raises(explain.ExplainError, match="two"):
+        with pytest.raises(InputError, match="two"):
             explain.prototype_overlap([model])
 
 

@@ -1,4 +1,7 @@
+import ast
+import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +23,38 @@ def loaded_modules(module: str) -> list:
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path})
     return out.stdout.split()
+
+
+def program_nodes(kind):
+    """(file name, line, node) of every `kind` node in src/xsit/*.py."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(xsit.__file__),
+                                              "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        yield from ((os.path.basename(path), node.lineno, node)
+                    for node in ast.walk(tree) if isinstance(node, kind))
+
+
+class TestOneInputError:
+    """Which exception a refusal raises is decided in xsit.files: the
+    program defines InputError and TensorError only, and raises nothing
+    else but the OSError of atomic_write."""
+
+    def test_two_exception_classes(self):
+        defined = {(name, node.name) for name, _, node in
+                   program_nodes(ast.ClassDef)
+                   if any(re.search(r"(Error|Exception|Warning)$",
+                                    ast.unparse(base))
+                          for base in node.bases)}
+        assert defined == {("files.py", "InputError"),
+                           ("tensor.py", "TensorError")}
+
+    def test_every_raise_names_one_of_them(self):
+        raised = {f"{name}:{line}": node.exc and ast.unparse(
+                      getattr(node.exc, "func", node.exc))
+                  for name, line, node in program_nodes(ast.Raise)}
+        assert {at: exc for at, exc in raised.items() if exc not in (
+            "InputError", "TensorError", "OSError")} == {}
 
 
 class TestImportGraph:

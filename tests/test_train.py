@@ -11,6 +11,7 @@ from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.config import load_config
+from xsit.files import InputError
 from xsit.tensor import AdamW, Tensor, load_arrays, save_arrays
 
 
@@ -66,7 +67,7 @@ class TestClassWeights:
         assert c1 == pytest.approx(10 / 2)
 
     def test_single_class_rejected(self):
-        with pytest.raises(train.TrainError, match="both classes"):
+        with pytest.raises(InputError, match="both classes"):
             train.class_weights([1, 1, 1])
 
 
@@ -172,7 +173,7 @@ class TestTrainRun:
 
     def test_empty_train_split_rejected(self, tiny_data):
         manifest, samples = tiny_data
-        with pytest.raises(train.TrainError, match="nonempty"):
+        with pytest.raises(InputError, match="nonempty"):
             train.train_run(small_config(), manifest,
                             {"train": [], "val": samples["val"]})
 
@@ -317,7 +318,7 @@ class TestCheckpointDefects:
 
     def test_missing_array(self, saved):
         self.rewrite(saved, lambda a: a.pop("block0.mlp.w1"))
-        with pytest.raises(train.TrainError,
+        with pytest.raises(InputError,
                            match=r"m\.xck: array 'block0\.mlp\.w1': found "
                                  r"nothing"):
             train.load_checkpoint(saved)
@@ -326,7 +327,7 @@ class TestCheckpointDefects:
         def cut(a):
             a["psp.xi"] = a["psp.xi"][:, :5]
         self.rewrite(saved, cut)
-        with pytest.raises(train.TrainError,
+        with pytest.raises(InputError,
                            match=r"m\.xck: array 'psp\.xi': found shape "
                                  r"\(80, 5\), the model needs shape "
                                  r"\(80, 16\)"):
@@ -334,19 +335,19 @@ class TestCheckpointDefects:
 
     def test_extra_array(self, saved):
         self.rewrite(saved, lambda a: a.update(extra=np.zeros(2, np.float32)))
-        with pytest.raises(train.TrainError, match="'extra'.*no such array"):
+        with pytest.raises(InputError, match="'extra'.*no such array"):
             train.load_checkpoint(saved)
 
     def test_missing_sidecar(self, saved):
         os.remove(saved + ".provenance.json")
-        with pytest.raises(train.TrainError,
+        with pytest.raises(InputError,
                            match=r"m\.xck\.provenance\.json: cannot read"):
             train.load_checkpoint(saved)
 
     def test_short_sidecar(self, saved):
         with open(saved + ".provenance.json", "w") as f:
             json.dump([["s0000", 2]], f)
-        with pytest.raises(train.TrainError,
+        with pytest.raises(InputError,
                            match="1 provenance entries for 80 prototypes"):
             train.load_checkpoint(saved)
 
@@ -354,7 +355,7 @@ class TestCheckpointDefects:
         for bad in ({"a": 1}, [5] * 80, [["s0000"]] * 80):
             with open(saved + ".provenance.json", "w") as f:
                 json.dump(bad, f)
-            with pytest.raises(train.TrainError, match="subject_id, epoch"):
+            with pytest.raises(InputError, match="subject_id, epoch"):
                 train.load_checkpoint(saved)
 
     @pytest.mark.parametrize("entry,message", [
@@ -364,7 +365,7 @@ class TestCheckpointDefects:
     def test_sidecar_entry_types(self, saved, entry, message):
         with open(saved + ".provenance.json", "w") as f:
             json.dump([entry] * 80, f)
-        with pytest.raises(ValueError, match=re.escape(
+        with pytest.raises(InputError, match=re.escape(
                 f"m.xck.provenance.json: {message}")):
             train.load_checkpoint(saved)
 
@@ -402,7 +403,7 @@ class TestCheckpointDefects:
         arrays, meta = load_arrays(saved)
         edit(meta)
         save_arrays(saved, arrays, meta)
-        with pytest.raises(train.TrainError,
+        with pytest.raises(InputError,
                            match=re.escape(f"m.xck: {message}")):
             train.load_checkpoint(saved)
 
