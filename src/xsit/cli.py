@@ -37,8 +37,7 @@ def _parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--split", required=True,
-                   choices=["train", "val", "test"])
+    e.add_argument("--split", required=True, choices=surf.SPLITS)
 
     x = sub.add_parser("explain", help="export explanations")
     x.add_argument("--checkpoint", required=True)
@@ -47,8 +46,8 @@ def _parser() -> argparse.ArgumentParser:
     x.add_argument("--mode", required=True,
                    choices=["individual", "group", "prototypes", "overlap"])
     x.add_argument("--out", required=True)
-    x.add_argument("--split", default="test",
-                   choices=["train", "val", "test"])
+    x.add_argument("--split", choices=surf.SPLITS,
+                   help="for --mode individual and group (default test)")
     x.add_argument("--subject", default=None,
                    help="subject id for --mode individual")
     x.add_argument("--channel", type=int, default=None,
@@ -120,16 +119,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# the explain flags that one mode alone reads
-_MODE_FLAGS = {"subject": "individual", "channel": "prototypes",
-               "extra_checkpoints": "overlap"}
+# each explain flag that not every mode reads -> the modes that read it
+_MODE_FLAGS = {"subject": ("individual",), "split": ("individual", "group"),
+               "channel": ("prototypes",), "extra_checkpoints": ("overlap",)}
 
 
 def _cmd_explain(args) -> int:
-    for key, mode in _MODE_FLAGS.items():
-        if getattr(args, key) is not None and args.mode != mode:
+    for key, modes in _MODE_FLAGS.items():
+        if getattr(args, key) is not None and args.mode not in modes:
             raise InputError(f"--{key.replace('_', '-')} is read by --mode "
-                             f"{mode} only, not by --mode {args.mode}")
+                             f"{' and '.join(modes)} only, not by --mode "
+                             f"{args.mode}")
+    split = args.split or "test"
     if args.mode == "overlap":  # compares checkpoints only
         model = tr.load_checkpoint(args.checkpoint)
     elif args.data is None:
@@ -140,21 +141,21 @@ def _cmd_explain(args) -> int:
         model, splits = _read(args, stats=args.mode == "prototypes")
     maps, scalar = [], "activation"  # (name, per-patch or None, per-vertex)
     if args.mode == "individual":
-        samples = splits[args.split]
+        samples = splits[split]
         if args.subject is not None:
             samples = [s for s in samples if s.subject_id == args.subject]
             if not samples:
                 raise InputError(f"subject '{args.subject}' is not in split "
-                                 f"'{args.split}'")
+                                 f"'{split}'")
         if not samples:
-            raise InputError(f"split '{args.split}' is empty")
+            raise InputError(f"split '{split}' is empty")
         for s in samples:
             per_patch, per_vertex, _ = expl.activation_map(s, model)
             maps.append((f"activation_{s.subject_id}", per_patch, per_vertex))
         done = f"wrote {len(samples)} activation map(s) to {args.out}"
     elif args.mode == "group":
         maps.append(("group_mean_activation",
-                     *expl.group_mean_map(splits[args.split], model)))
+                     *expl.group_mean_map(splits[split], model)))
         done = f"wrote group mean map to {args.out}"
     elif args.mode == "prototypes":
         n, c = len(model.channels), args.channel or 0

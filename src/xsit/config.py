@@ -17,37 +17,31 @@ from .encoder import EncoderConfig
 from .files import InputError, checked
 
 
-DEFAULTS = {
-    "encoder": {k: getattr(EncoderConfig(), k)
-                for k in ("dim", "depth", "heads", "mlp_ratio", "dropout")},
-    "psp": {"rectify_prototypes": True},
-    "train": {
-        "epochs": 30,
-        "batch_size": 16,
-        "lr": 1e-4,
-        "weight_decay": 1e-2,
-        "projection_period": 5,
-        "seed": 0,
-        "class_weighted": True,
-    },
+_ENCODER = EncoderConfig()
+
+# key -> (type, test, description, default) of every setting
+FIELDS = {
+    "encoder.dim": (int, lambda v: v >= 1, ">= 1", _ENCODER.dim),
+    "encoder.depth": (int, lambda v: v >= 0, ">= 0", _ENCODER.depth),
+    "encoder.heads": (int, lambda v: v >= 1, ">= 1", _ENCODER.heads),
+    "encoder.mlp_ratio": (int, lambda v: v >= 1, ">= 1", _ENCODER.mlp_ratio),
+    "encoder.dropout": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)",
+                        _ENCODER.dropout),
+    "psp.rectify_prototypes": (bool, None, "", True),
+    "train.epochs": (int, lambda v: v >= 0, ">= 0", 30),
+    "train.batch_size": (int, lambda v: v >= 1, ">= 1", 16),
+    "train.lr": (float, lambda v: v > 0.0, "> 0", 1e-4),
+    "train.weight_decay": (float, lambda v: v >= 0.0, ">= 0", 1e-2),
+    "train.projection_period": (int, lambda v: v >= 1, ">= 1", 5),
+    "train.seed": (int, lambda v: v >= 0, ">= 0", 0),
+    "train.class_weighted": (bool, None, "", True),
 }
 
-# key -> (type, test, description) of every setting
-FIELDS = {
-    "encoder.dim": (int, lambda v: v >= 1, ">= 1"),
-    "encoder.depth": (int, lambda v: v >= 0, ">= 0"),
-    "encoder.heads": (int, lambda v: v >= 1, ">= 1"),
-    "encoder.mlp_ratio": (int, lambda v: v >= 1, ">= 1"),
-    "encoder.dropout": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "psp.rectify_prototypes": (bool, None, ""),
-    "train.epochs": (int, lambda v: v >= 0, ">= 0"),
-    "train.batch_size": (int, lambda v: v >= 1, ">= 1"),
-    "train.lr": (float, lambda v: v > 0.0, "> 0"),
-    "train.weight_decay": (float, lambda v: v >= 0.0, ">= 0"),
-    "train.projection_period": (int, lambda v: v >= 1, ">= 1"),
-    "train.seed": (int, lambda v: v >= 0, ">= 0"),
-    "train.class_weighted": (bool, None, ""),
-}
+# section -> key -> default, read off FIELDS
+DEFAULTS = {}
+for _key, (*_, _default) in FIELDS.items():
+    _section, _name = _key.split(".")
+    DEFAULTS.setdefault(_section, {})[_name] = _default
 
 
 def check_settings(where: str, values: dict) -> dict:
@@ -57,7 +51,7 @@ def check_settings(where: str, values: dict) -> dict:
     for key in values:
         if key not in FIELDS:
             raise InputError(f"{where}unknown config key '{key}'")
-    return {k: FIELDS[k][0](checked(f"{where}config ", k, v, FIELDS[k]))
+    return {k: FIELDS[k][0](checked(f"{where}config ", k, v, FIELDS[k][:3]))
             for k, v in values.items()}
 
 

@@ -35,13 +35,13 @@ class EncoderConfig:
                              f"got {self.heads} and {self.dim}")
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within 2 std."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) resampled until every draw lies within 2 std."""
+    out = np.zeros(shape)
+    bad = np.ones(shape, dtype=bool)
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+        bad = np.abs(out) > 0.04
     return out.astype(np.float32)
 
 

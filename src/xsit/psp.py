@@ -40,7 +40,7 @@ def sparse_weights(logits: Tensor) -> Tensor:
     """Dense softmax weights, hard-thresholded at the uniform level 1/N and
     renormalized. The survival mask is a constant for differentiation."""
     n = logits.shape[-1]
-    dense = logits.softmax(axis=-1)
+    dense = logits.softmax()
     mask = (dense.data >= 1.0 / n).astype(dense.data.dtype)
     kept = dense.mul(Tensor(mask, dtype=dense.data.dtype))
     return kept.div(kept.sum())

@@ -242,6 +242,8 @@ def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
 
 
 # -- the dataset -------------------------------------------------------------
+SPLITS = ("train", "val", "test")  # the splits a subject can be in
+
 # What a manifest and a checkpoint's meta both record about the data, the
 # statistics of one channel, and one manifest subject entry, as field tables
 # of `files.check_fields`.
@@ -258,8 +260,7 @@ _STATS = {"mean": (float, None, "a number"),
 _SUBJECT = {
     "id": (str, lambda v: "/" not in v, "a string without '/'"),
     "label": (int, lambda v: v in (0, 1), "0 or 1"),
-    "split": (str, lambda v: v in ("train", "val", "test"),
-              "one of train, val, test"),
+    "split": (str, lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}"),
     "path": (str, None, "a string"),
 }
 
@@ -308,7 +309,7 @@ def load_dataset(manifest_path: str):
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))
-    splits = {"train": [], "val": [], "test": []}
+    splits = {s: [] for s in SPLITS}
     for entry in manifest.subjects:
         feats = load_sample(os.path.join(base, entry["path"]),
                             manifest.vertices_total, len(manifest.channels))

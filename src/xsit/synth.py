@@ -61,10 +61,10 @@ class SynthSpec:
         self.lesion_patches = [
             checked("", f"lesion_patches[{i}]", v, (int, None, ""))
             for i, v in enumerate(self.lesion_patches)]
-        if self.counts.keys() != {"train", "val", "test"}:
+        if self.counts.keys() != set(surf.SPLITS):
             raise InputError(
-                f"key 'counts' needs one integer for each of train, val, "
-                f"test, got {self.counts!r}")
+                f"key 'counts' needs one integer for each of "
+                f"{', '.join(surf.SPLITS)}, got {self.counts!r}")
         self.counts = {k: checked("", f"counts.{k}", v,
                                   (int, lambda n: n >= 1, ">= 1"))
                        for k, v in self.counts.items()}
@@ -137,7 +137,7 @@ def generate(spec: SynthSpec, out_dir: str) -> str:
     channels[0] = "thickness"
 
     subjects = []
-    for split in ("train", "val", "test"):
+    for split in surf.SPLITS:
         n_pos = int(round(spec.counts[split] * spec.positive_fraction))
         for k in range(spec.counts[split]):
             sid = f"s{len(subjects):04d}"

@@ -155,24 +155,24 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _softmax_(z: np.ndarray, axis: int, rows=None) -> np.ndarray:
-    """Softmax along axis, computed in place in z. With rows, a pair of
-    arrays of z's shape but 1 along axis, each row's max and sum of
-    exponentials are stored in them."""
-    top = z.max(axis=axis, keepdims=True)
+def _softmax_(z: np.ndarray, rows=None) -> np.ndarray:
+    """Softmax along the last axis, computed in place in z. With rows, a
+    pair of arrays of z's shape but 1 along the last axis, each row's max
+    and sum of exponentials are stored in them."""
+    top = z.max(axis=-1, keepdims=True)
     z -= top
     np.exp(z, out=z)
-    total = z.sum(axis=axis, keepdims=True)
+    total = z.sum(axis=-1, keepdims=True)
     z /= total
     if rows is not None:
         rows[0][...], rows[1][...] = top, total
     return z
 
 
-def _softmax_grad_(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_grad_(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient at a softmax's input from the gradient g at its output y,
     computed in place in g."""
-    g -= (g * y).sum(axis=axis, keepdims=True)
+    g -= (g * y).sum(axis=-1, keepdims=True)
     g *= y
     return g
 
@@ -336,22 +336,19 @@ class Tensor:
                           lambda g: self._accum(g * inside), "clamp")
 
     # -- reductions ---------------------------------------------------------
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         def backward(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.shape).copy())
-        return self._make(self.data.sum(axis=axis, keepdims=keepdims),
-                          (self,), backward, "sum")
+        return self._make(self.data.sum(axis=axis), (self,), backward, "sum")
 
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims).mul(1.0 / n)
+        return self.sum(axis=axis).mul(1.0 / n)
 
     # -- structural ---------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return self._make(self.data.reshape(shape), (self,),
                           lambda g: self._accum(g.reshape(self.shape)),
                           "reshape")
@@ -364,10 +361,11 @@ class Tensor:
                           "transpose")
 
     # -- fused ops ----------------------------------------------------------
-    def softmax(self, axis: int = -1) -> "Tensor":
-        y = _softmax_(np.array(self.data), axis)
+    def softmax(self) -> "Tensor":
+        """Softmax along the last axis."""
+        y = _softmax_(np.array(self.data))
         return self._make(y, (self,), lambda g: self._accum(
-            _softmax_grad_(np.array(g), y, axis)), "softmax")
+            _softmax_grad_(np.array(g), y)), "softmax")
 
     def attention(self, k: "Tensor", v: "Tensor",
                   keep: np.ndarray | None = None, p: float = 0.0) -> "Tensor":
@@ -446,7 +444,7 @@ class Tensor:
         ctx = np.empty((r, m, s, dh), dtype)
         for b in blocks:
             pb = scores(b, buf if y is None else y[b])
-            _softmax_(pb, -1, None if top is None else (top[b], total[b]))
+            _softmax_(pb, None if top is None else (top[b], total[b]))
             np.matmul(drop(pb, b), v4[b], out=ctx[b])
 
         def backward(g):
@@ -463,7 +461,7 @@ class Tensor:
                     pb = y[b]
                 np.matmul(np.swapaxes(drop(pb, b), -1, -2), g[b], out=dv[b])
                 ds = np.matmul(g[b], np.swapaxes(v4[b], -1, -2))
-                ds = _softmax_grad_(drop(ds, b, dst=ds), pb, -1)
+                ds = _softmax_grad_(drop(ds, b, dst=ds), pb)
                 ds *= scale
                 np.matmul(ds, k4[b], out=dq[b])
                 # kᵀ's product is written whole, then transposed into place:
@@ -476,16 +474,15 @@ class Tensor:
         return self._make(ctx.reshape(self.shape), (self, k, v), backward,
                           "attention")
 
-    def layernorm(self, gain: "Tensor", bias: "Tensor",
-                  eps: float = 1e-5) -> "Tensor":
-        """Normalize over the last axis, then affine."""
+    def layernorm(self, gain: "Tensor", bias: "Tensor") -> "Tensor":
+        """Normalize over the last axis (variance + 1e-5), then affine."""
         gain, bias = self._coerce(gain), self._coerce(bias)
         if gain.shape != self.shape[-1:] or bias.shape != self.shape[-1:]:
             raise TensorError("layernorm gain/bias must match last axis")
         x = self.data
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = (x - mu) * inv
         n = self.shape[-1]
 
@@ -500,11 +497,11 @@ class Tensor:
         return self._make(gain.data * xhat + bias.data, (self, gain, bias),
                           backward, "layernorm")
 
-    def rect_cosine(self, proto: "Tensor", eps: float = 1e-8,
+    def rect_cosine(self, proto: "Tensor",
                     rectify_proto: bool = True) -> "Tensor":
         """Cosine similarity of the ReLU-rectified rows (last axis).
 
-        Returns 0 where either rectified row has norm below eps ("no
+        Returns 0 where either rectified row has norm below 1e-8 ("no
         evidence"). Output lies in [0, 1]: in float32 a row compared with
         itself can round to 1 + 2^-23, so the value is clamped to 1 (the
         gradient is the unclamped cosine's). With rectify_proto=False the
@@ -519,7 +516,7 @@ class Tensor:
         v = np.maximum(proto.data, 0) if rectify_proto else proto.data
         nu = np.sqrt((u * u).sum(axis=-1))
         nv = np.sqrt((v * v).sum(axis=-1))
-        valid = (nu >= eps) & (nv >= eps)
+        valid = (nu >= 1e-8) & (nv >= 1e-8)
         denom = np.where(valid, nu * nv, 1.0)
         dot = (u * v).sum(axis=-1)
         c = np.where(valid, dot / denom, 0.0)
@@ -592,7 +589,7 @@ class AdamW:
     matrix-shaped params decay; biases, norm gains and logit vectors are
     exempt, as is standard for AdamW."""
 
-    def __init__(self, params: dict, lr=1e-4, weight_decay=1e-2):
+    def __init__(self, params: dict, lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

@@ -171,11 +171,14 @@ def normalized(samples, model: Model) -> list:
 
 def activations(model: Model, samples) -> np.ndarray:
     """Inference-mode per-patch activations [S, N_total] of
-    already-normalized samples; each row sums to its class probability."""
+    already-normalized samples; each row sums to its class probability.
+    Prototypes and logits enter as constants, so no tape is recorded."""
     emb = psp.encode_samples(samples, model.params, model.enc_cfg,
                              model.partition(), model.hemispheres)
-    return psp.patch_activations(Tensor(emb), model.bank, model.scaler,
-                                 model.rectify_prototypes).data
+    return psp.patch_activations(
+        Tensor(emb), psp.PrototypeBank(Tensor(model.bank.xi.data)),
+        psp.SparseScaler(Tensor(model.scaler.logits.data)),
+        model.rectify_prototypes).data
 
 
 def predict_probs(model: Model, samples) -> np.ndarray:
@@ -233,17 +236,19 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
             idx = order[start:start + tcfg["batch_size"]]
             batch = Tensor(patches_all[idx])
             y = labels[idx]
-            try:
-                emb = enc.encode(batch, model.params, model.enc_cfg,
-                                 training=True, rng=dropout_rng)
-                p = psp.class_probability(emb, model.bank, model.scaler,
-                                          model.rectify_prototypes)
-                loss = weighted_bce(p, y, cw)
-            except TensorError as e:
-                raise TensorError(f"epoch {epoch} batch {bi}: {e}") from e
-            optim.zero_grad()
-            loss.backward()
-            optim.step()
+            # a non-finite value is named by the op check, not by numpy
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    emb = enc.encode(batch, model.params, model.enc_cfg,
+                                     training=True, rng=dropout_rng)
+                    p = psp.class_probability(emb, model.bank, model.scaler,
+                                              model.rectify_prototypes)
+                    loss = weighted_bce(p, y, cw)
+                except TensorError as e:
+                    raise TensorError(f"epoch {epoch} batch {bi}: {e}") from e
+                optim.zero_grad()
+                loss.backward()
+                optim.step()
             losses.append(loss.item())
         if (epoch + 1) % tcfg["projection_period"] == 0:
             project(epoch=epoch)

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -604,13 +605,25 @@ class TestRefusalTexts:
         assert not os.path.exists(out)
 
     def test_non_finite_training_step(self, tiny, tmp_path, capsys):
-        # numpy's overflow RuntimeWarnings go through the warnings module,
-        # which pytest records; `xsit` prints them ahead of this line
         data, _ = tiny
         out = tmp_path / "run"
         self.refused(capsys, tiny_train_args(data, out, "train.lr=1e30"), out,
                      "epoch 0 batch 1: encoder block 0: non-finite values "
                      "produced by op 'matmul'")
+
+    def test_non_finite_training_step_warns_nothing(self, tiny, tmp_path,
+                                                    capsys):
+        """The op check names the non-finite value; numpy, whose warnings
+        `xsit` would print ahead of the error line, says nothing."""
+        data, _ = tiny
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(tiny_train_args(data, tmp_path / "run",
+                                          "train.lr=1e30"))
+        assert rc == 1
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_prototypes_of_unprojected_checkpoint(self, tiny, tmp_path,
                                                   capsys):
@@ -832,8 +845,11 @@ class TestExplain:
     @pytest.mark.parametrize("mode,flag", [
         ("group", ["--subject", "s0024"]),
         ("individual", ["--channel", "0"]),
-        ("prototypes", ["--extra-checkpoints", "other.xck"])],
-        ids=["subject", "channel", "extra-checkpoints"])
+        ("prototypes", ["--extra-checkpoints", "other.xck"]),
+        ("prototypes", ["--split", "val"]),
+        ("overlap", ["--split", "test"])],
+        ids=["subject", "channel", "extra-checkpoints", "split-prototypes",
+             "split-overlap"])
     def test_flag_of_another_mode_stops_before_reading(self, tmp_path,
                                                        capsys, mode, flag):
         """The checkpoint and data do not exist: the flag is refused
@@ -844,7 +860,8 @@ class TestExplain:
                        *flag, "--out", str(out)])
         assert rc == 1
         owner = {"--subject": "individual", "--channel": "prototypes",
-                 "--extra-checkpoints": "overlap"}[flag[0]]
+                 "--extra-checkpoints": "overlap",
+                 "--split": "individual and group"}[flag[0]]
         assert capsys.readouterr().err == (
             f"error: {flag[0]} is read by --mode {owner} only, not by "
             f"--mode {mode}\n")

@@ -193,7 +193,7 @@ def test_sparse_weights_simplex(state):
     _, _, logits = state
     n = logits.shape[0]
     w = psp.sparse_weights(Tensor(logits)).data
-    dense = Tensor(logits).softmax(axis=-1).data
+    dense = Tensor(logits).softmax().data
     assert ((w == 0) == (dense < 1.0 / n)).all()
     assert abs(float(w.sum()) - 1.0) <= 1e-6
 

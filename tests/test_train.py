@@ -186,6 +186,25 @@ class TestTrainRun:
         assert rep.bacc > 0.5
 
 
+class TestInference:
+    def test_activations_keep_no_tape(self, tiny_data, monkeypatch):
+        """Encoder parameters, prototypes and logits enter as constants,
+        so no node of an inference pass joins the tape."""
+        manifest, samples = tiny_data
+        model = train.init_model(small_config(), manifest)
+        made = []
+        make = Tensor._make
+
+        def record(self, *args):
+            made.append(make(self, *args))
+            return made[-1]
+
+        monkeypatch.setattr(Tensor, "_make", record)
+        train.activations(model, train.normalized(samples["test"], model))
+        assert made
+        assert [t.op for t in made if t.requires_grad] == []
+
+
 class TestHistoryCsv:
     def test_roundtrip_floats(self, tmp_path):
         path = str(tmp_path / "h.csv")
@@ -247,7 +266,7 @@ class TestCheckpoint:
             before = psp.class_probability(fixed, m.bank, m.scaler).data
             p = psp.class_probability(emb, m.bank, m.scaler)
             train.weighted_bce(p, [s.label for s in test]).backward()
-            AdamW(m.params, lr=1e-3).step()
+            AdamW(m.params, lr=1e-3, weight_decay=1e-2).step()
             after = psp.class_probability(fixed, m.bank, m.scaler).data
             assert np.all(after != before)
 
