@@ -12,10 +12,9 @@ import itertools
 
 import numpy as np
 
-from . import psp
 from . import surface as surf
 from .files import InputError, atomic_write
-from .train import Model, activations, normalized, predicted_positive
+from .train import Model, activations, normalized, predicted_positive, weights
 
 
 def activation_map(sample: surf.SurfaceSample, model: Model,
@@ -62,7 +61,8 @@ def export_prototype_surface(model: Model, train_samples: list,
     Patches with w_i = 0 are masked (NaN); boundary vertices claimed by
     several unmasked patches are averaged."""
     part = model.partition()
-    w = psp.sparse_weights(model.scaler.logits).data
+    w = weights(model)
+    ids = surf.vertex_ids(part, model.hemispheres)
     by_id = {s.subject_id: s for s in train_samples}
     values = np.full((len(w), part.patch_size), np.nan)
     for i in np.nonzero(w > 0.0)[0]:
@@ -73,8 +73,7 @@ def export_prototype_surface(model: Model, train_samples: list,
         if prov[0] not in by_id:
             raise InputError(f"patch {i}: provenance subject "
                              f"'{prov[0]}' not in the provided samples")
-        values[i] = surf.patchify(by_id[prov[0]], part,
-                                  model.hemispheres)[i, :, channel]
+        values[i] = by_id[prov[0]].features[ids[i], channel]
     return surf.unpatchify(values, part, model.hemispheres)
 
 
@@ -87,8 +86,7 @@ def prototype_overlap(models: list) -> float:
     shapes = {(m.mesh_order, m.patch_order, m.hemispheres) for m in models}
     if len(shapes) > 1:
         raise InputError("checkpoints use different partitions")
-    actives = [psp.sparse_weights(m.scaler.logits).data > 0.0
-               for m in models]
+    actives = [weights(m) > 0.0 for m in models]
     sources = [np.array([p and p[0] for p in m.bank.provenance], object)
                for m in models]
     pair_scores = []
@@ -101,7 +99,7 @@ def prototype_overlap(models: list) -> float:
 
 
 def write_patch_csv(path: str, per_patch: np.ndarray, model: Model) -> None:
-    w = psp.sparse_weights(model.scaler.logits).data
+    w = weights(model)
     lines = ["patch_index,value,weight,provenance_subject"]
     for i, val in enumerate(per_patch):
         prov = model.bank.provenance[i]

@@ -43,7 +43,6 @@ _BASE_FACES = np.array([
 
 @dataclass(frozen=True)
 class IcosphereMesh:
-    order: int
     vertices: np.ndarray  # V x 3, unit norm, float64
     faces: np.ndarray     # T x 3, CCW from outside
 
@@ -87,7 +86,7 @@ def build_icosphere(order: int) -> IcosphereMesh:
         verts, faces = _subdivide(verts, faces)
     assert verts.shape[0] == vertex_count(order)
     assert faces.shape[0] == face_count(order)
-    return IcosphereMesh(order=order, vertices=verts, faces=faces)
+    return IcosphereMesh(vertices=verts, faces=faces)
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):

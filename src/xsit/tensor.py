@@ -46,8 +46,9 @@ _ERF32_Q = tuple(np.float32(c) for c in (
     -7.37332916720468e-03, -1.42647390514189e-02))
 
 # float64 erf: Cephes ndtr.c, the algorithm of scipy.special.erf. T/U for
-# |x| <= 1, then erf = 1 - erfc with P/Q below |x| = 8 and R/S above. U, Q
-# and S have an implicit leading 1.
+# |x| <= 1, then erf = 1 - erfc with P/Q, |x| clipped at 8. From |x| of
+# about 5.9216 on, 1 - erfc rounds to 1, so Cephes' R/S branch above 8 is
+# left out. U and Q have an implicit leading 1.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
           2.23200534594684319226E3, 7.00332514112805075473E3,
           5.55923013010394962768E4)
@@ -63,12 +64,6 @@ _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
            3.54937778887819891062E2, 9.75708501743205489753E2,
            1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
 
 
 class TensorError(ValueError):
@@ -105,8 +100,9 @@ def _erf32(x: np.ndarray) -> np.ndarray:
 
 
 def _erf64(x: np.ndarray) -> np.ndarray:
-    """erf in float64, step for step Cephes' erf/erfc as scipy has them:
-    odd, and within 3 ulp of the exact value."""
+    """erf in float64, step for step Cephes' erf/erfc as scipy has them
+    below |x| = 8 and exactly ±1 from there on: odd, and within 3 ulp of
+    the exact value."""
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
     out = np.empty_like(x)
@@ -114,13 +110,9 @@ def _erf64(x: np.ndarray) -> np.ndarray:
     z = x[near] ** 2
     out[near] = a[near] * _horner(z, _ERF_T) / _horner(z, _ERF_U,
                                                           monic=True)
-    a = a[~near]
-    mid = a < 8.0
-    num = np.where(mid, _horner(a, _ERFC_P), _horner(a, _ERFC_R))
-    den = np.where(mid, _horner(a, _ERFC_Q, monic=True),
-                   _horner(a, _ERFC_S, monic=True))
-    # erfc; exp underflows to 0 for |x| past about 27, where erf is 1
-    out[~near] = 1.0 - np.exp(-a * a) * num / den
+    a = np.minimum(a[~near], 8.0)
+    out[~near] = 1.0 - np.exp(-a * a) * _horner(a, _ERFC_P) / _horner(
+        a, _ERFC_Q, monic=True)
     return np.copysign(out, x)
 
 
@@ -406,14 +398,13 @@ class Tensor:
         def grid(a):
             return a.reshape(r, m, s, a.shape[-1])
 
+        # blocks are [rows, step] slabs of the grid: `rows` whole grid rows
+        # while a row fits in a block, else `step` slices of one row
         fit = _ATTN_BLOCK // max(1, s * s * self.data.itemsize)
-        step = max(1, fit)
-        if step >= m:  # blocks of whole grid rows
-            rows = step // max(1, m)
-            blocks = [slice(i, i + rows) for i in range(0, r, rows)]
-        else:
-            blocks = [(i, slice(j, j + step))
-                      for i in range(r) for j in range(0, m, step)]
+        step = max(1, min(fit, m))
+        rows = max(1, min(fit // max(1, m), r))
+        blocks = [(slice(i, i + rows), slice(j, j + step))
+                  for i in range(0, r, rows) for j in range(0, m, step)]
         mask = None if keep is None else grid(keep)
 
         def drop(a, b, dst=None):
@@ -427,14 +418,15 @@ class Tensor:
 
         def scores(b, out):
             """Block b's scaled scores, written into out, or into its first
-            rows for a shorter last block."""
+            rows and slices for a shorter last block."""
+            nrows, nslices = q4[b].shape[:2]
             out = np.matmul(q4[b], np.swapaxes(k4[b], -1, -2),
-                            out=out[:len(q4[b])])
+                            out=out[:nrows, :nslices])
             out *= scale
             return out
 
         tape = self.requires_grad or k.requires_grad or v.requires_grad
-        block = (q4[blocks[0]] if blocks else q4).shape[:-1] + (s,)
+        block = (rows, step, s, s)
         # y is kept while a slice fits in a block, else the rows' max and
         # sum; a node off the tape keeps neither
         y = np.empty((r, m, s, s), dtype) if tape and fit else None
@@ -508,9 +500,6 @@ class Tensor:
         prototype rows pass through unrectified (output may go negative).
         """
         proto = self._coerce(proto)
-        if self.shape[-1] != proto.shape[-1]:
-            raise TensorError(
-                f"rect_cosine dim mismatch: {self.shape} vs {proto.shape}")
         _leading_broadcast_shape(self.shape, proto.shape, "rect_cosine")
         u = np.maximum(self.data, 0)
         v = np.maximum(proto.data, 0) if rectify_proto else proto.data

@@ -181,6 +181,12 @@ def activations(model: Model, samples) -> np.ndarray:
         model.rectify_prototypes).data
 
 
+def weights(model: Model) -> np.ndarray:
+    """The decoder's sparse weights w [N_total]. The logits enter as a
+    constant, so no tape is recorded."""
+    return psp.sparse_weights(Tensor(model.scaler.logits.data)).data
+
+
 def predict_probs(model: Model, samples) -> np.ndarray:
     """Inference-mode class probabilities, already-normalized samples."""
     return activations(model, samples).sum(axis=-1)

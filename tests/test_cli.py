@@ -12,7 +12,7 @@ from xsit import surface as surf
 from xsit import synth
 from xsit import train
 from xsit.files import InputError
-from xsit.tensor import TensorError, load_arrays, save_arrays
+from xsit.tensor import Tensor, TensorError, load_arrays, save_arrays
 
 
 SPEC = dict(mesh_order=2, patch_order=1, channels=2,
@@ -866,6 +866,40 @@ class TestExplain:
             f"error: {flag[0]} is read by --mode {owner} only, not by "
             f"--mode {mode}\n")
         assert not out.exists()
+
+
+class TestTape:
+    def test_only_a_training_step_records_a_tape(self, tmp_path,
+                                                 monkeypatch):
+        """Every op output is recorded: `train` puts some on a tape, while
+        no output of `eval` or of any `explain` mode requires a gradient."""
+        data = gen_tiny(tmp_path, "data")
+        outputs = []
+        make = Tensor._make
+
+        def recorded(self, *args):
+            outputs.append(make(self, *args))
+            return outputs[-1]
+        monkeypatch.setattr(Tensor, "_make", recorded)
+        ckpts = []
+        for seed in (0, 1):
+            run = tmp_path / f"run{seed}"
+            assert cli.main(tiny_train_args(data, run,
+                                            f"train.seed={seed}")) == 0
+            ckpts.append(str(run / "model.xck"))
+        assert any(t.requires_grad for t in outputs)
+        read = ["--checkpoint", ckpts[0], "--data", data]
+        commands = [["eval", *read, "--split", "test"]] + [
+            ["explain", *read, "--mode", mode, "--out", str(tmp_path / mode)]
+            for mode in ("individual", "group", "prototypes")] + [
+            ["explain", "--checkpoint", ckpts[0], "--mode", "overlap",
+             "--extra-checkpoints", ckpts[1], "--out",
+             str(tmp_path / "overlap")]]
+        for argv in commands:
+            outputs.clear()
+            assert cli.main(argv) == 0, argv
+            taped = [t.op for t in outputs if t.requires_grad]
+            assert outputs and taped == [], (argv, taped)
 
 
 class TestMesh:

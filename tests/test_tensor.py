@@ -175,13 +175,17 @@ class TestAttention:
 
     # blocks of two [5, 5] slices: (1, 7) is one grid row of 7 slices in 4
     # blocks, (7, 1) 7 rows of one slice in 4 blocks, (3, 3) two blocks per
-    # row; each has a partial last block. With half a slice per block
-    # ("recompute") every block is one slice.
-    @pytest.mark.parametrize("lead", [(1, 7), (7, 1), (3, 3)],
-                             ids=["1x7", "7x1", "3x3"])
+    # row, (3, 2) one row per block; each but (3, 2) has a partial last
+    # block. With four slices per block ("rows"), (3, 2) is two whole grid
+    # rows and a last block of one row, as `bench-train` runs. With half a
+    # slice per block ("recompute") every block is one slice.
+    @pytest.mark.parametrize("lead", [(1, 7), (7, 1), (3, 3), (3, 2)],
+                             ids=["1x7", "7x1", "3x3", "3x2"])
     @pytest.mark.parametrize("masked,slices", [
-        (True, 2), (False, 2), (True, 0.5), (False, 0.5)],
-        ids=["keep", "nokeep", "keep-recompute", "nokeep-recompute"])
+        (True, 2), (False, 2), (True, 4), (False, 4), (True, 0.5),
+        (False, 0.5)],
+        ids=["keep", "nokeep", "keep-rows", "nokeep-rows", "keep-recompute",
+             "nokeep-recompute"])
     def test_bytes_across_blocks(self, monkeypatch, lead, masked, slices):
         self.slices_per_block(monkeypatch, slices, 5, np.float32)
         rng = np.random.default_rng(17)
@@ -313,6 +317,16 @@ class TestErf:
             x = self.X.astype(dtype)
             assert (erf(-x) == -erf(x)).all()
             assert (erf(np.array([-40.0, 40.0], dtype)) == [-1, 1]).all()
+        huge = np.array([1e155, 1e300, np.inf])
+        assert (erf(np.concatenate([-huge, huge]))
+                == [-1, -1, -1, 1, 1, 1]).all()
+
+    def test_float64_gelu_of_a_huge_value(self):
+        """At a huge finite x, erf(x/√2) is exactly 1, so gelu(x) is x,
+        not a non-finite-value refusal."""
+        y = Tensor(np.array([1e155, -3.0])).gelu().data
+        assert y.tobytes() == np.array(
+            [1e155, Tensor(np.array([-3.0])).gelu().data[0]]).tobytes()
 
 
 def test_runtime_imports_no_scipy():
@@ -363,6 +377,9 @@ class TestElementwise:
         assert a.add(b).shape == (2, 3, 4)
         with pytest.raises(TensorError, match="broadcast"):
             a.add(Tensor(np.ones((2, 1, 4))))
+        for shape in ((3, 5), (2, 4)):  # the last axis, an interior one
+            with pytest.raises(TensorError, match="broadcast"):
+                a.rect_cosine(Tensor(np.ones(shape)))
 
     def test_nan_raises(self):
         with pytest.raises(TensorError, match="non-finite"):
