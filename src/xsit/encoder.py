@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import InputError
-from .tensor import Tensor, TensorError, keep_scale
+from .tensor import Tensor, TensorError
+
+_MASK_CHUNK = 1 << 18  # draws per chunk of a keep mask, a multiple of 4
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,24 @@ def _rate(p: float) -> float:
 def _keep_mask(shape: tuple, p: float, training: bool,
                rng: np.random.Generator | None) -> np.ndarray | None:
     """Boolean dropout keep mask, or None when dropout is off (t is 0).
-    Each element takes 16 bits of the rng's raw 64-bit output."""
+    Each element takes 16 bits of the rng's raw 64-bit output, in chunks of
+    whole words, so the stream is one draw's: 1 byte per element at peak."""
     t = _threshold(p)
     if not training or t == 0:
         return None
     if rng is None:
         raise TensorError("training-mode dropout needs an rng")
-    n = math.prod(shape)
-    bits = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)
-    return (bits[:n] >= t).reshape(shape)
+    keep = np.empty(math.prod(shape), dtype=bool)
+    for out in np.split(keep, range(_MASK_CHUNK, keep.size, _MASK_CHUNK)):
+        raw = rng.bit_generator.random_raw((out.size + 3) // 4)
+        np.greater_equal(raw.view(np.uint16)[:out.size], t, out=out)
+    return keep.reshape(shape)
 
 
 def _dropout(x: Tensor, p: float, training: bool,
              rng: np.random.Generator | None) -> Tensor:
     keep = _keep_mask(x.shape, p, training, rng)
-    if keep is None:
-        return x
-    return x.mul(Tensor(keep * keep_scale(_rate(p), x.data.dtype),
-                        dtype=x.data.dtype))
+    return x if keep is None else x.dropout(keep, _rate(p))
 
 
 def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
@@ -124,8 +126,9 @@ def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
         return y.reshape(b, s, h, dh).transpose((0, 2, 1, 3))  # B,h,S,dh
 
     q, k, v = project("q"), project("k"), project("v")
-    keep = _keep_mask((b, h, s, s), config.dropout, training, rng)
-    ctx = q.attention(k, v, keep, _rate(config.dropout))
+    # passed straight in: the bool mask is freed when attention returns
+    ctx = q.attention(k, v, _keep_mask((b, h, s, s), config.dropout,
+                                       training, rng), _rate(config.dropout))
     ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
     out = ctx.matmul(params[pre + "attn.wo"]).add(params[pre + "attn.bo"])
     return _dropout(out, config.dropout, training, rng)

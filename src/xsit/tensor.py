@@ -128,6 +128,12 @@ def keep_scale(p: float, dtype) -> np.floating:
     return dtype(1.0) / dtype(1.0 - p)
 
 
+def _dropout_(a: np.ndarray, keep: np.ndarray, scale, out=None):
+    """a·keep·scale in a's dtype: for bool keep, a·(keep·scale) to the bit."""
+    out = np.multiply(a, keep, out=out, dtype=a.dtype)
+    return np.multiply(out, scale, out=out)
+
+
 def _leading_broadcast_shape(sa: tuple, sb: tuple, op: str) -> tuple:
     """Result shape when the smaller operand matches the larger one's trailing
     dims. Interior size-1 stretching is rejected on purpose."""
@@ -353,6 +359,15 @@ class Tensor:
                           "transpose")
 
     # -- fused ops ----------------------------------------------------------
+    def dropout(self, keep: np.ndarray, p: float) -> "Tensor":
+        """Inverted dropout by a bool keep mask of self's shape that drops
+        at rate p; the node keeps the mask, not a float factor."""
+        if keep.shape != self.shape:
+            raise TensorError(f"dropout: keep mask {keep.shape} for {self}")
+        kept = keep_scale(p, self.data.dtype)
+        return self._make(_dropout_(self.data, keep, kept), (self,), lambda g:
+                          self._accum(_dropout_(g, keep, kept)), "dropout")
+
     def softmax(self) -> "Tensor":
         """Softmax along the last axis."""
         y = _softmax_(np.array(self.data))
@@ -369,14 +384,14 @@ class Tensor:
         Forward and backward run in blocks of whole [S, S] slices, about
         `_ATTN_BLOCK` bytes of scores each, so the scores, the dropped
         probabilities and the score gradient exist one block at a time.
-        Of [..., S, S] shape a node on the tape keeps the mask and, while
-        one slice fits in a block, the softmax output y. A larger slice
-        keeps only each row's max and sum of exponentials ([..., S, 1]),
-        and the backward recomputes the probabilities from q, k and those
-        two. A node off the tape keeps nothing. No row is split and every
-        product is one BLAS call per slice, so the arithmetic, and the
-        bytes, are those of matmul, a mul by the scale in the dtype,
-        softmax, a mask mul and matmul as separate nodes.
+        Of [..., S, S] shape a node on the tape keeps the mask, packed 8
+        to a byte, and, while one slice fits in a block, the softmax output
+        y. A larger slice keeps only each row's max and sum of exponentials
+        ([..., S, 1]), and the backward recomputes the probabilities from
+        q, k and those two. A node off the tape keeps nothing. No row is
+        split and every product is one BLAS call per slice, so the
+        arithmetic, and the bytes, are those of matmul, a mul by the scale
+        in the dtype, softmax, a mask mul and matmul as separate nodes.
         """
         k, v = self._coerce(k), self._coerce(v)
         if self.ndim < 2 or k.shape != self.shape or v.shape != self.shape:
@@ -405,14 +420,16 @@ class Tensor:
         rows = max(1, min(fit // max(1, m), r))
         blocks = [(slice(i, i + rows), slice(j, j + step))
                   for i in range(0, r, rows) for j in range(0, m, step)]
-        mask = None if keep is None else grid(keep)
+        # each slice's mask packed flat, 8 to a byte: one long row unpacks
+        # faster than s short ones
+        mask = None if keep is None else \
+            np.packbits(keep.reshape(r, m, s * s), axis=-1)
 
         def drop(a, b, dst=None):
             if mask is None:
                 return a
-            dst = np.multiply(a, mask[b], out=dst, dtype=a.dtype)
-            dst *= kept
-            return dst
+            bits = np.unpackbits(mask[b], axis=-1, count=s * s).view(bool)
+            return _dropout_(a, bits.reshape(a.shape), kept, dst)
 
         q4, k4, v4 = grid(self.data), grid(k.data), grid(v.data)
 

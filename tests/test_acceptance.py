@@ -120,6 +120,8 @@ class TestCriterion1:
             (lambda: a.rect_cosine(c).sum(), [a, c]),
             (lambda: qa.attention(ka, va, keep, 0.25).mul(c).sum(),
              [qa, ka, va]),
+            (lambda: a.dropout(np.arange(12).reshape(3, 4) % 3 > 0, 0.25)
+             .mul(c).sum(), [a, c]),
         ]
         for fn, ts in ops:
             worst = max(worst, fd_check(fn, ts))

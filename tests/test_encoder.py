@@ -149,6 +149,33 @@ class TestKeepMask:
         assert keep.dtype == bool and keep.shape == (1000, 1000)
         assert abs(keep.mean() - (1 - enc._rate(0.1))) <= 0.002
 
+    @pytest.mark.parametrize("chunks", [0, 3],
+                             ids=["below-a-chunk", "across-chunks"])
+    def test_the_bits_and_stream_of_one_draw(self, chunks):
+        """Drawn in chunks, the mask has the bits of one draw of the whole
+        mask and leaves the generator where that draw would."""
+        n = chunks * enc._MASK_CHUNK + 7
+        assert enc._MASK_CHUNK % 4 == 0 and n % 4 != 0
+        rng, one = np.random.default_rng(8), np.random.default_rng(8)
+        keep = enc._keep_mask((n,), 0.1, True, rng)
+        bits = one.bit_generator.random_raw((n + 3) // 4).view(np.uint16)
+        assert keep.tobytes() == (bits[:n] >= enc._threshold(0.1)).tobytes()
+        assert rng.bit_generator.state == one.bit_generator.state
+
+    def test_peaks_at_one_byte_per_element(self):
+        shape = (8, 1024, 1024)
+        n = 8 * 1024 * 1024
+        rng = np.random.default_rng(9)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            keep = enc._keep_mask(shape, 0.1, True, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keep.shape == shape
+        assert peak - start < 1.25 * n
+
     def test_rate_near_one_is_capped(self):
         p = 0.999995
         assert enc._threshold(p) == 65535

@@ -231,6 +231,35 @@ class TestAttention:
         assert out.requires_grad == tape
         assert peak - start < math.prod(shape[:2]) * s * s * 4
 
+    @pytest.mark.parametrize("shape", [(16, 6, 80, 4), (2, 4, 512, 4)],
+                             ids=["fits", "recompute"])
+    def test_taped_node_keeps_its_mask_packed(self, shape):
+        """A node on the tape keeps one bit per score for its mask: once
+        the caller's bool mask is gone, what the forward left allocated is
+        the output, the probabilities while a slice fits in a block (as
+        `bench-train`'s 80 × 80) or else the rows' max and sum, and the
+        mask packed 8 to a byte."""
+        s = shape[2]
+        rng = np.random.default_rng(21)
+        q, k, v = self.qkv(rng, np.float32, shape)
+        draws = rng.random(shape[:2] + (s, s))
+        scores = math.prod(shape[:2]) * s * s
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            keep = draws >= 0.1
+            out = q.attention(k, v, keep, 0.1)
+            del keep
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        if s * s * 4 <= tensor._ATTN_BLOCK:
+            probs = scores * 4
+        else:
+            probs = 2 * math.prod(shape[:3]) * 4
+        # 10% over the packed mask for the node's Python objects
+        assert kept - out.data.nbytes - probs < 1.1 * scores / 8
+
     def test_backward_peaks_below_one_score_array(self):
         """The backward's [..., S, S] temporaries exist one block at a
         time: over 8 blocks it peaks below one whole score array."""
@@ -443,6 +472,33 @@ class TestBackwardPass:
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
+class TestDropout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_of_the_mask_mul(self, dtype):
+        """Forward and gradient are, byte for byte, those of a mul by the
+        float factor keep·scale: a dropped negative gives -0.0, forward
+        and backward."""
+        x = Tensor(np.array([[-1.5, 2.0, -0.25], [3.0, -4.0, 0.5]]),
+                   requires_grad=True, dtype=dtype)
+        keep = np.array([[False, True, True], [False, False, True]])
+        c = Tensor(np.array([[2.0, -1.0, 0.5], [-3.0, 1.5, -2.0]]),
+                   dtype=dtype)
+        results = []
+        for out in (x.dropout(keep, 0.3), x.mul(Tensor(
+                keep * tensor.keep_scale(0.3, dtype), dtype=dtype))):
+            x.grad = None
+            (out * c).sum().backward()
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+            assert np.signbit(out.data[0, 0]) and out.data[0, 0] == 0
+            assert np.signbit(x.grad[1, 0]) and x.grad[1, 0] == 0
+        assert results[0] == results[1]
+
+    def test_keep_mask_must_have_the_shape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(TensorError, match="keep mask"):
+            x.dropout(np.ones(3, dtype=bool), 0.1)
+
+
 # every tape op, called on [3, 3] operands a and b
 TAPE_OPS = {
     "add": lambda a, b: a.add(b),
@@ -457,6 +513,7 @@ TAPE_OPS = {
     "reshape": lambda a, b: a.reshape(9),
     "transpose": lambda a, b: a.transpose((1, 0)),
     "softmax": lambda a, b: a.softmax(),
+    "dropout": lambda a, b: a.dropout(b.data > 1.0, 0.25),
     "attention": lambda a, b: a.attention(b, b),
     "layernorm": lambda a, b: a.layernorm(Tensor(b.data[0]), Tensor(b.data[1])),
     "rect_cosine": lambda a, b: a.rect_cosine(b),

@@ -4,17 +4,22 @@ change keeps the bytes.
     python3 tools/bytecheck.py <checkout> <workdir> > digests.txt
 
 runs, in `<workdir>` (made if missing, and which must be empty), each
-command in a subprocess with `<checkout>/src` on PYTHONPATH and one BLAS
-thread, on two dataset specs: the acceptance suite's BENCH shape (seed 11,
-`train.seed=11`, `train.epochs=5`) and the paper's shape (order-6 mesh,
-order-2 patches, 2 hemispheres, 4/2/1 subjects, seed 11, `train.epochs=1`,
-`train.batch_size=4`). Each spec gets `gen-data`, `train`, `eval` of every
-split, `explain` of every mode (`individual` over the test split and for
-one subject, `group`, `prototypes` at channels 0 and 2, `overlap` of the
-checkpoint with itself), and both share one `mesh --order 3`. It prints
+command in a subprocess with `<checkout>/src` on PYTHONPATH, once with one
+BLAS thread in `<workdir>/threads1` and once with two in
+`<workdir>/threads2`, on two dataset specs: the acceptance suite's BENCH
+shape (seed 11, `train.seed=11`, `train.epochs=5`) and the paper's shape
+(order-6 mesh, order-2 patches, 2 hemispheres, 4/2/1 subjects, seed 11,
+`train.epochs=1`, `train.batch_size=4`). Each spec gets `gen-data`,
+`train`, `eval` of every split, `explain` of every mode (`individual` over
+the test split and for one subject, `group`, `prototypes` at channels 0
+and 2, `overlap` of the checkpoint with itself), and both share one
+`mesh --order 3`. It prints
 one sorted line per output file (sha256, path) and per command (exit
-code, sha256 of stdout and of stderr). Two checkouts keep the bytes when
-their runs print the same lines:
+code, sha256 of stdout and of stderr), each led by its thread count
+(`threads=1`, `threads=2`). Two checkouts keep the bytes when their runs
+print the same lines. Lines of one thread count need not equal the other
+count's: the paper shape's patch projection, of inner dimension 459,
+rounds differently at 1 and 2 OpenBLAS threads.
 
     python3 tools/bytecheck.py ../parent /tmp/bc > a.txt; rm -r /tmp/bc
     python3 tools/bytecheck.py . /tmp/bc > b.txt; rm -r /tmp/bc
@@ -38,6 +43,7 @@ PAPER = dict(mesh_order=6, patch_order=2, hemispheres=2,
 # shape -> (spec, training overrides)
 SHAPES = {"bench": (BENCH, ["train.seed=11", "train.epochs=5"]),
           "paper": (PAPER, ["train.epochs=1", "train.batch_size=4"])}
+THREADS = (1, 2)
 
 
 def _sha(data: bytes) -> str:
@@ -71,18 +77,12 @@ def _commands(shape: str, sets: list, test_subject: str | None):
     return cmds
 
 
-def main(argv: list) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    checkout, work = (os.path.abspath(a) for a in argv)
-    os.makedirs(work, exist_ok=True)
-    if os.listdir(work):
-        print(f"error: {work} is not empty", file=sys.stderr)
-        return 2
+def _digests(checkout: str, work: str, threads: str) -> list:
+    """The file and command lines of every command, run in work with the
+    given number of BLAS threads."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
     lines = []
 
     def run(name, args):
@@ -114,6 +114,24 @@ def main(argv: list) -> int:
             with open(path, "rb") as f:
                 lines.append(f"file {_sha(f.read())} "
                              f"{os.path.relpath(path, work)}")
+    return lines
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout, work = (os.path.abspath(a) for a in argv)
+    os.makedirs(work, exist_ok=True)
+    if os.listdir(work):
+        print(f"error: {work} is not empty", file=sys.stderr)
+        return 2
+    lines = []
+    for threads in THREADS:
+        sub = os.path.join(work, f"threads{threads}")
+        os.makedirs(sub)
+        lines += [f"threads={threads} {line}"
+                  for line in _digests(checkout, sub, str(threads))]
     print("\n".join(sorted(lines)))
     return 0
 
