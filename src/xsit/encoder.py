@@ -121,8 +121,8 @@ def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
     dh = d // h
 
     def project(name):
-        y = x.matmul(params[pre + f"attn.w{name}"]).add(
-            params[pre + f"attn.b{name}"])
+        y = x.matmul(params[pre + f"attn.w{name}"],
+                     params[pre + f"attn.b{name}"])
         return y.reshape(b, s, h, dh).transpose((0, 2, 1, 3))  # B,h,S,dh
 
     q, k, v = project("q"), project("k"), project("v")
@@ -130,15 +130,15 @@ def _attention(x: Tensor, params: dict, pre: str, config: EncoderConfig,
     ctx = q.attention(k, v, _keep_mask((b, h, s, s), config.dropout,
                                        training, rng), _rate(config.dropout))
     ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
-    out = ctx.matmul(params[pre + "attn.wo"]).add(params[pre + "attn.bo"])
+    out = ctx.matmul(params[pre + "attn.wo"], params[pre + "attn.bo"])
     return _dropout(out, config.dropout, training, rng)
 
 
 def _mlp(x: Tensor, params: dict, pre: str, config: EncoderConfig,
          training: bool, rng) -> Tensor:
-    y = x.matmul(params[pre + "mlp.w1"]).add(params[pre + "mlp.b1"]).gelu()
+    y = x.matmul(params[pre + "mlp.w1"], params[pre + "mlp.b1"]).gelu()
     y = _dropout(y, config.dropout, training, rng)
-    y = y.matmul(params[pre + "mlp.w2"]).add(params[pre + "mlp.b2"])
+    y = y.matmul(params[pre + "mlp.w2"], params[pre + "mlp.b2"])
     return _dropout(y, config.dropout, training, rng)
 
 
@@ -152,7 +152,7 @@ def encode(patches: Tensor, params: dict, config: EncoderConfig,
             f"encode: got patches {patches.shape}, config expects "
             f"[B, {config.seq_len}, {config.patch_size}, {config.channels}]")
     x = patches.reshape(b, s, m * f)
-    x = x.matmul(params["patch_proj.w"]).add(params["patch_proj.b"])
+    x = x.matmul(params["patch_proj.w"], params["patch_proj.b"])
     x = x.add(params["pos_emb"])
     x = _dropout(x, config.dropout, training, rng)
     for i in range(config.depth):

@@ -2,11 +2,14 @@
 
 Forward values live in numpy arrays (float32 by default; float64 supported so
 tests can run a high-precision shadow of the same graph). The graph is a
-dynamic tape: an op with a gradient-requiring operand records its parents and
-a closure that pushes the output gradient back to them; any other op's output
-is a constant that keeps neither. Broadcasting is restricted to leading batch
-dimensions -- a smaller operand must match the trailing shape of the larger
-one exactly.
+dynamic tape of nodes, not of values: a tensor is its array and its node,
+and an op with a gradient-requiring operand gives its output a node that
+records its parents' nodes and a closure that pushes the output gradient
+back to them. The closure keeps only the arrays its backward reads, so an
+array that no backward reads is freed as soon as the forward drops its
+tensor. Any other op's output is a constant whose node keeps neither.
+Broadcasting is restricted to leading batch dimensions -- a smaller operand
+must match the trailing shape of the larger one exactly.
 """
 
 from __future__ import annotations
@@ -175,22 +178,63 @@ def _softmax_grad_(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
+class _Node:
+    """A tensor's record on the tape: its gradient, whether it needs one,
+    its parents' nodes and the closure that pushes its gradient to them,
+    with the shape and dtype that gradient takes. A node holds no value:
+    its closure keeps only the arrays its backward reads."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward", "op",
+                 "shape", "dtype")
+
+    def __init__(self, shape, dtype, requires_grad=False, parents=(),
+                 backward=None, op="leaf"):
+        self.grad = None
+        self.requires_grad = bool(requires_grad)
+        self.parents = parents
+        self.backward = backward
+        self.op = op
+        self.shape = shape
+        self.dtype = dtype
+
+    def accum(self, grad: np.ndarray):
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            # always a copy (add hands one array to both parents), and C
+            # order: np.matmul rounds differently on a transposed layout
+            self.grad = np.array(grad, dtype=self.dtype, order="C")
+        else:
+            self.grad += grad.astype(self.dtype, copy=False)
+
+
+def _node_field(name: str) -> property:
+    """A tensor attribute that reads, and sets, its node's `name`."""
+    return property(lambda t: getattr(t.node, name),
+                    lambda t, v: setattr(t.node, name, v))
+
+
 class Tensor:
-    """Node in the autodiff graph; wraps one numpy array."""
+    """One numpy array, `data`, and its node on the tape, `node`. The
+    tape links nodes, never tensors, so an array goes when the forward
+    drops its tensor unless some node's backward reads it. A leaf's data
+    may be replaced by an array of the same shape and dtype."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, dtype=None,
-                 _parents=(), _backward=None, op="leaf"):
+    def __init__(self, data, requires_grad=False, dtype=None, _node=None):
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) and \
                 data.dtype in (np.float32, np.float64) else np.float32
         self.data = np.asarray(data, dtype=dtype)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = _backward
-        self.op = op
+        self.node = _node or _Node(self.data.shape, self.data.dtype,
+                                   requires_grad)
+
+    grad = _node_field("grad")
+    requires_grad = _node_field("requires_grad")
+    _backward = _node_field("backward")
+    _parents = _node_field("parents")
+    op = _node_field("op")
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -215,24 +259,17 @@ class Tensor:
 
     # -- graph construction helpers ----------------------------------------
     def _make(self, data, parents, backward, op):
-        """The node for one op's output: on the tape with its parents and
-        backward closure if a parent requires a gradient, else a constant
-        that holds neither, so an inference pass frees each step's inputs."""
+        """The tensor of one op's output. Its node is on the tape, with its
+        parents' nodes and the backward closure, if a parent requires a
+        gradient, else a constant's that holds neither, so an inference
+        pass frees each step's inputs. The closure must reach its operands
+        through their nodes and the arrays it reads, never their tensors."""
         data = _check_finite(np.asarray(data), op)
         rg = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=rg, dtype=data.dtype,
-                      _parents=parents if rg else (),
-                      _backward=backward if rg else None, op=op)
-
-    def _accum(self, grad: np.ndarray):
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            # always a copy (add hands one array to both parents), and C
-            # order: np.matmul rounds differently on a transposed layout
-            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
-        else:
-            self.grad += grad.astype(self.data.dtype, copy=False)
+        node = _Node(data.shape, data.dtype, rg,
+                     tuple(p.node for p in parents) if rg else (),
+                     backward if rg else None, op)
+        return Tensor(data, dtype=data.dtype, _node=node)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
@@ -243,39 +280,42 @@ class Tensor:
     def add(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "add")
+        a, b = self.node, other.node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_reduce_to_shape(g, self.shape))
-            if other.requires_grad:
-                other._accum(_reduce_to_shape(g, other.shape))
+            if a.requires_grad:
+                a.accum(_reduce_to_shape(g, a.shape))
+            if b.requires_grad:
+                b.accum(_reduce_to_shape(g, b.shape))
         return self._make(self.data + other.data, (self, other), backward, "add")
 
     def mul(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "mul")
+        a, b, x, y = self.node, other.node, self.data, other.data
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_reduce_to_shape(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_reduce_to_shape(g * self.data, other.shape))
-        return self._make(self.data * other.data, (self, other), backward, "mul")
+            if a.requires_grad:
+                a.accum(_reduce_to_shape(g * y, a.shape))
+            if b.requires_grad:
+                b.accum(_reduce_to_shape(g * x, b.shape))
+        return self._make(x * y, (self, other), backward, "mul")
 
     def div(self, other) -> "Tensor":
         other = self._coerce(other)
         _leading_broadcast_shape(self.shape, other.shape, "div")
+        a, b, x, y = self.node, other.node, self.data, other.data
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_reduce_to_shape(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_reduce_to_shape(
-                    -g * self.data / other.data ** 2, other.shape))
-        return self._make(self.data / other.data, (self, other), backward, "div")
+            if a.requires_grad:
+                a.accum(_reduce_to_shape(g / y, a.shape))
+            if b.requires_grad:
+                b.accum(_reduce_to_shape(-g * x / y ** 2, b.shape))
+        return self._make(x / y, (self, other), backward, "div")
 
     def neg(self) -> "Tensor":
-        return self._make(-self.data, (self,), lambda g: self._accum(-g), "neg")
+        a = self.node
+        return self._make(-self.data, (self,), lambda g: a.accum(-g), "neg")
 
     def sub(self, other) -> "Tensor":
         return self.add(self._coerce(other).neg())
@@ -289,7 +329,10 @@ class Tensor:
     def __rsub__(self, other):
         return self._coerce(other).sub(self)
 
-    def matmul(self, other: "Tensor") -> "Tensor":
+    def matmul(self, other: "Tensor", bias: "Tensor | None" = None) -> "Tensor":
+        """self·other, and with a bias of the product's trailing shape,
+        self·other + bias: the bias is added in place to the product, in
+        this one node, with the bytes of a matmul and an add."""
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
             raise TensorError("matmul needs >=2-d operands")
@@ -298,47 +341,65 @@ class Tensor:
                 f"matmul inner dims differ: {self.shape} x {other.shape}")
         if self.ndim != other.ndim:
             _leading_broadcast_shape(self.shape[:-2], other.shape[:-2], "matmul")
+        x, y = self.data, other.data
+        out = np.matmul(x, y)
+        parents = (self, other)
+        if bias is not None:
+            bias = self._coerce(bias)
+            if bias.ndim > out.ndim or \
+                    out.shape[out.ndim - bias.ndim:] != bias.shape:
+                raise TensorError(f"matmul: bias of shape {bias.shape} for "
+                                  f"a product of shape {out.shape}")
+            out += bias.data
+            parents += (bias,)
+        a, b = self.node, other.node
+        c = None if bias is None else bias.node
 
         def backward(g):
-            if self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
-                self._accum(_reduce_to_shape(ga, self.shape))
-            if other.requires_grad:
-                gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-                other._accum(_reduce_to_shape(gb, other.shape))
-        return self._make(np.matmul(self.data, other.data), (self, other),
-                          backward, "matmul")
+            if a.requires_grad:
+                a.accum(_reduce_to_shape(
+                    np.matmul(g, np.swapaxes(y, -1, -2)), a.shape))
+            if b.requires_grad:
+                b.accum(_reduce_to_shape(
+                    np.matmul(np.swapaxes(x, -1, -2), g), b.shape))
+            if c is not None and c.requires_grad:
+                c.accum(_reduce_to_shape(g, c.shape))
+        return self._make(out, parents, backward, "matmul")
 
     __matmul__ = matmul
 
     # -- elementwise nonlinearities -----------------------------------------
     def gelu(self) -> "Tensor":
-        x = self.data
+        a, x = self.node, self.data
         cdf = erf(x * _INV_SQRT2)
         cdf += 1.0
         cdf *= 0.5
 
         def backward(g):
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            self._accum(g * (cdf + x * pdf))
+            a.accum(g * (cdf + x * pdf))
         return self._make(x * cdf, (self,), backward, "gelu")
 
     def log(self) -> "Tensor":
+        a, x = self.node, self.data
         with np.errstate(invalid="ignore", divide="ignore"):
-            return self._make(np.log(self.data), (self,),
-                              lambda g: self._accum(g / self.data), "log")
+            return self._make(np.log(x), (self,),
+                              lambda g: a.accum(g / x), "log")
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
+        a = self.node
         inside = (self.data >= lo) & (self.data <= hi)
         return self._make(np.clip(self.data, lo, hi), (self,),
-                          lambda g: self._accum(g * inside), "clamp")
+                          lambda g: a.accum(g * inside), "clamp")
 
     # -- reductions ---------------------------------------------------------
     def sum(self, axis=None) -> "Tensor":
+        a = self.node
+
         def backward(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.shape).copy())
+            a.accum(np.broadcast_to(g, a.shape).copy())
         return self._make(self.data.sum(axis=axis), (self,), backward, "sum")
 
     def mean(self, axis=None) -> "Tensor":
@@ -347,15 +408,16 @@ class Tensor:
 
     # -- structural ---------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
+        a = self.node
         return self._make(self.data.reshape(shape), (self,),
-                          lambda g: self._accum(g.reshape(self.shape)),
-                          "reshape")
+                          lambda g: a.accum(g.reshape(a.shape)), "reshape")
 
     def transpose(self, axes) -> "Tensor":
+        a = self.node
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
         return self._make(np.transpose(self.data, axes), (self,),
-                          lambda g: self._accum(np.transpose(g, inv)),
+                          lambda g: a.accum(np.transpose(g, inv)),
                           "transpose")
 
     # -- fused ops ----------------------------------------------------------
@@ -364,14 +426,16 @@ class Tensor:
         at rate p; the node keeps the mask, not a float factor."""
         if keep.shape != self.shape:
             raise TensorError(f"dropout: keep mask {keep.shape} for {self}")
+        a = self.node
         kept = keep_scale(p, self.data.dtype)
         return self._make(_dropout_(self.data, keep, kept), (self,), lambda g:
-                          self._accum(_dropout_(g, keep, kept)), "dropout")
+                          a.accum(_dropout_(g, keep, kept)), "dropout")
 
     def softmax(self) -> "Tensor":
         """Softmax along the last axis."""
+        a = self.node
         y = _softmax_(np.array(self.data))
-        return self._make(y, (self,), lambda g: self._accum(
+        return self._make(y, (self,), lambda g: a.accum(
             _softmax_grad_(np.array(g), y)), "softmax")
 
     def attention(self, k: "Tensor", v: "Tensor",
@@ -432,6 +496,7 @@ class Tensor:
             return _dropout_(a, bits.reshape(a.shape), kept, dst)
 
         q4, k4, v4 = grid(self.data), grid(k.data), grid(v.data)
+        nq, nk, nv = self.node, k.node, v.node
 
         def scores(b, out):
             """Block b's scaled scores, written into out, or into its first
@@ -477,9 +542,9 @@ class Tensor:
                 # a transposed `out=` would take matmul off BLAS
                 dk[b] = np.swapaxes(
                     np.matmul(np.swapaxes(q4[b], -1, -2), ds), -1, -2)
-            v._accum(dv.reshape(v.shape))
-            self._accum(dq.reshape(self.shape))
-            k._accum(dk.reshape(k.shape))
+            nv.accum(dv.reshape(nv.shape))
+            nq.accum(dq.reshape(nq.shape))
+            nk.accum(dk.reshape(nk.shape))
         return self._make(ctx.reshape(self.shape), (self, k, v), backward,
                           "attention")
 
@@ -494,15 +559,16 @@ class Tensor:
         inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = (x - mu) * inv
         n = self.shape[-1]
+        a, ng, nb, w = self.node, gain.node, bias.node, gain.data
 
         def backward(g):
-            gain._accum(_reduce_to_shape(g * xhat, gain.shape))
-            bias._accum(_reduce_to_shape(g, bias.shape))
-            dxhat = g * gain.data
+            ng.accum(_reduce_to_shape(g * xhat, ng.shape))
+            nb.accum(_reduce_to_shape(g, nb.shape))
+            dxhat = g * w
             dx = inv / n * (n * dxhat
                             - dxhat.sum(axis=-1, keepdims=True)
                             - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-            self._accum(dx)
+            a.accum(dx)
         return self._make(gain.data * xhat + bias.data, (self, gain, bias),
                           backward, "layernorm")
 
@@ -526,6 +592,7 @@ class Tensor:
         denom = np.where(valid, nu * nv, 1.0)
         dot = (u * v).sum(axis=-1)
         c = np.where(valid, dot / denom, 0.0)
+        a, b, x, xi = self.node, proto.node, self.data, proto.data
 
         def backward(g):
             # d cos/du = v/(nu nv) - cos * u/nu^2, chained through the ReLU
@@ -535,10 +602,10 @@ class Tensor:
             dv = (g * valid)[..., None] * (
                 u / denom[..., None]
                 - (c / np.where(nv > 0, nv * nv, 1.0))[..., None] * v)
-            self._accum(_reduce_to_shape(du * (self.data > 0), self.shape))
-            vmask = (proto.data > 0) if rectify_proto else \
-                np.ones_like(proto.data, dtype=bool)
-            proto._accum(_reduce_to_shape(dv * vmask, proto.shape))
+            a.accum(_reduce_to_shape(du * (x > 0), a.shape))
+            vmask = (xi > 0) if rectify_proto else \
+                np.ones_like(xi, dtype=bool)
+            b.accum(_reduce_to_shape(dv * vmask, b.shape))
         return self._make(np.minimum(c, 1.0), (self, proto), backward,
                           "rect_cosine")
 
@@ -556,7 +623,7 @@ class Tensor:
             raise TensorError("backward() requires a scalar loss")
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self.node, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -564,24 +631,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node.requires_grad and node._backward is None \
+            if node.requires_grad and node.backward is None \
                     and node.op != "leaf":
                 raise TensorError(
                     f"backward(): the graph through op '{node.op}' was "
                     f"consumed by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         visits = len(order)
         while order:
             node = order.pop()
-            if node._backward is not None:
+            if node.backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad, node._backward, node._parents = None, None, ()
+                    node.backward(node.grad)
+                node.grad, node.backward, node.parents = None, None, ()
         return visits
 
 

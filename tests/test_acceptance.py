@@ -107,8 +107,11 @@ class TestCriterion1:
         qa, ka, va = (Tensor(qkv_rng.normal(size=(3, 4)), requires_grad=True,
                              dtype=np.float64) for _ in range(3))
         keep = qkv_rng.random((3, 3)) >= 0.25
+        e = Tensor(np.random.default_rng(2).normal(size=(5,)),
+                   requires_grad=True, dtype=np.float64)
         ops = [
             (lambda: a.matmul(b).sum(), [a, b]),
+            (lambda: a.matmul(b, e).gelu().sum(), [a, b, e]),
             (lambda: a.add(c).mul(c).sum(), [a, c]),
             (lambda: a.sub(c).div(c.mul(c).add(1.0)).sum(), [a, c]),
             (lambda: a.gelu().sum(), [a]),

@@ -104,23 +104,32 @@ class TestEncode:
     @pytest.mark.parametrize("tape", [False, True])
     def test_graph_lives_only_on_the_tape(self, monkeypatch, tape):
         """With constant parameters no node keeps its inputs, so once
-        encode returns every array an op made is freed but the result's;
-        with trainable ones the tape keeps them all for backward."""
+        encode returns every array an op made is freed but the result's.
+        With trainable ones the tape keeps exactly the outputs that some
+        backward reads: the flattened patches (read by the patch matmul),
+        both block layernorms' outputs (by the q/k/v and first MLP
+        matmuls), the q, k and v products (by attention, through their
+        views), the reshaped context (by the output matmul), the first
+        MLP product (by gelu) and gelu's output (by the second MLP
+        matmul). The final layernorm's is the result. The residual
+        stream, the other products and attention's output are freed."""
         made = []
         make = Tensor._make
 
         def recording(self, data, parents, backward, op):
             out = make(self, data, parents, backward, op)
-            made.append(weakref.ref(out.data))
+            made.append((op, weakref.ref(out.data)))
             return out
         monkeypatch.setattr(Tensor, "_make", recording)
         params = {k: Tensor(t.data, requires_grad=tape)
                   for k, t in enc.init_params(TINY, 0).items()}
         x = Tensor(tiny_inputs(np.random.default_rng(6)))
         out = enc.encode(x, params, TINY, training=False)
-        assert made[-1]() is out.data
-        alive = sum(ref() is not None for ref in made)
-        assert alive == (len(made) if tape else 1)
+        assert made[-1][1]() is out.data
+        alive = sorted(op for op, ref in made if ref() is not None)
+        assert alive == (["gelu", "layernorm", "layernorm", "layernorm",
+                          "matmul", "matmul", "matmul", "matmul", "reshape",
+                          "reshape"] if tape else ["layernorm"])
 
     def test_training_dropout_needs_rng(self):
         cfg = enc.EncoderConfig(dim=8, depth=1, heads=2, dropout=0.5,

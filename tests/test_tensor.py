@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -75,6 +76,31 @@ class TestMatmul:
         a = randt(rng, (2, 3, 4))
         w = randt(rng, (4, 5))
         assert_grad_matches(lambda: (a.matmul(w) * a.matmul(w)).sum(), [a, w])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_has_the_bytes_of_an_add(self, dtype):
+        """a.matmul(w, b) is one node with the value and the gradients of
+        a, w and b, byte for byte, of a.matmul(w).add(b)."""
+        rng = np.random.default_rng(22)
+        leaves = [Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True,
+                         dtype=dtype) for shape in ((2, 5, 7), (7, 4), (4,))]
+        c = Tensor(rng.uniform(-1, 1, size=(2, 5, 4)), dtype=dtype)
+        a, w, b = leaves
+        results = []
+        for out in (a.matmul(w, b), a.matmul(w).add(b)):
+            for t in leaves:
+                t.grad = None
+            (out * c).sum().backward()
+            results.append([out.data.tobytes()]
+                           + [t.grad.tobytes() for t in leaves])
+        assert results[0] == results[1]
+        assert a.matmul(w, b).op == "matmul"
+
+    def test_bias_must_fit_the_product(self):
+        a, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for shape in ((3,), (2, 2, 4)):
+            with pytest.raises(TensorError, match="bias"):
+                a.matmul(w, Tensor(np.ones(shape)))
 
 
 class TestSoftmax:
@@ -499,13 +525,15 @@ class TestDropout:
             x.dropout(np.ones(3, dtype=bool), 0.1)
 
 
-# every tape op, called on [3, 3] operands a and b
+# every tape op, called on [3, 3] operands a and b; "op+case" is a second
+# case of op
 TAPE_OPS = {
     "add": lambda a, b: a.add(b),
     "mul": lambda a, b: a.mul(b),
     "div": lambda a, b: a.div(b),
     "neg": lambda a, b: a.neg(),
     "matmul": lambda a, b: a.matmul(b),
+    "matmul+bias": lambda a, b: a.matmul(b, Tensor(b.data[0])),
     "gelu": lambda a, b: a.gelu(),
     "log": lambda a, b: a.log(),
     "clamp": lambda a, b: a.clamp(0.6, 1.2),
@@ -529,9 +557,34 @@ class TestTape:
         rng = np.random.default_rng(0)
         a, b = (Tensor(rng.uniform(0.5, 1.5, (3, 3))) for _ in range(2))
         out = TAPE_OPS[op](a, b)
-        assert out.op == op
+        assert out.op == op.split("+")[0]
         assert not out.requires_grad
         assert out._backward is None and out._parents == ()
+
+    # ops whose backward reads no input value: only shapes, a mask or
+    # their own output (softmax), or normalized values (layernorm)
+    FREED = {"add", "neg", "sum", "dropout", "clamp", "softmax", "layernorm"}
+    VIEWS = {"reshape", "transpose"}
+
+    @pytest.mark.parametrize("op", sorted(TAPE_OPS))
+    def test_a_node_keeps_only_the_arrays_its_backward_reads(self, op):
+        """The tape links nodes, not tensors: once the forward drops an
+        interior tensor, its array is freed unless the backward of an op
+        it fed reads it, or it is the base of that op's view."""
+        rng = np.random.default_rng(1)
+        a, b = (randt(rng, (3, 3), lo=0.5, hi=1.5) for _ in range(2))
+        h = a.mul(2.0)
+        value = weakref.ref(h.data)
+        out = TAPE_OPS[op](h, b)
+        del h
+        if op in self.FREED:
+            assert value() is None
+        elif op in self.VIEWS:
+            assert value() is out.data.base
+        else:
+            assert value() is not None
+        out.sum().backward()
+        assert a.grad is not None
 
 
 class TestAdamW:

@@ -77,12 +77,18 @@ def _commands(shape: str, sets: list, test_subject: str | None):
     return cmds
 
 
+def checkout_env(checkout: str, threads: str) -> dict:
+    """The environment of a subprocess that runs the checkout's xsit with
+    the given number of BLAS threads."""
+    return dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads)
+
+
 def _digests(checkout: str, work: str, threads: str) -> list:
     """The file and command lines of every command, run in work with the
     given number of BLAS threads."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads)
+    env = checkout_env(checkout, threads)
     lines = []
 
     def run(name, args):
