@@ -130,6 +130,9 @@ class PatchPartition:
 
 
 def patch_size(mesh_order: int, patch_order: int) -> int:
+    """M, the vertices of one patch, by arithmetic alone."""
+    if patch_order > mesh_order:
+        raise InputError("patch order must not exceed mesh order")
     k = 2 ** (mesh_order - patch_order)
     return (k + 1) * (k + 2) // 2
 
@@ -139,12 +142,10 @@ def build_partition(mesh_order: int, patch_order: int) -> PatchPartition:
     descend from order-p face f, a block of 4^(d-p) consecutive faces.
     Vertices on a block's boundary land in every adjacent patch, so all
     patches share one fixed size M."""
-    if patch_order > mesh_order:
-        raise InputError("patch order must not exceed mesh order")
     if patch_order < 0:
         raise InputError("patch order must be >= 0")
-    mesh = build_icosphere(mesh_order)
     m = patch_size(mesh_order, patch_order)
+    mesh = build_icosphere(mesh_order)
     blocks = np.sort(mesh.faces.reshape(face_count(patch_order), -1), axis=1)
     first = np.ones(blocks.shape, dtype=bool)
     first[:, 1:] = blocks[:, 1:] != blocks[:, :-1]
@@ -281,8 +282,8 @@ def check_dataset_fields(d, where: str = "") -> None:
 
 
 def load_dataset(manifest_path: str):
-    """Load manifest + all samples, grouped by split. Features are returned
-    raw (un-normalized); apply normalize() with the manifest stats."""
+    """Manifest + raw samples, by split. They are normalised with a model's
+    statistics (`train.normalized`), not the manifest's, where used."""
     try:
         with open(manifest_path) as f:
             d = json.load(f)

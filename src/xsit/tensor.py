@@ -233,7 +233,6 @@ class Tensor:
     grad = _node_field("grad")
     requires_grad = _node_field("requires_grad")
     _backward = _node_field("backward")
-    _parents = _node_field("parents")
     op = _node_field("op")
 
     # -- basic introspection ------------------------------------------------

@@ -107,7 +107,8 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     `provenance` has one entry per prototype (None: never projected).
     Every meta key the Model reads must be present with its type, and any
     other is ignored; the config sections go through the config's own
-    checks."""
+    checks. The shapes are arithmetic, and the partition is built last,
+    once the arrays fit, so an outsized order is refused, not built."""
     try:
         surf.check_dataset_fields(meta)
         check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
@@ -119,11 +120,11 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
         for key in DEFAULTS["encoder"]:
             if f"encoder.{key}" not in given:
                 raise InputError(f"missing key 'encoder.{key}'")
-        part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
-        n_total = part.n_patches * meta["hemispheres"]
+        n_total = surf.face_count(meta["patch_order"]) * meta["hemispheres"]
         ecfg = enc.EncoderConfig(**{k: given[f"encoder.{k}"]
                                     for k in DEFAULTS["encoder"]},
-                                 seq_len=n_total, patch_size=part.patch_size,
+                                 seq_len=n_total, patch_size=surf.patch_size(
+                                     meta["mesh_order"], meta["patch_order"]),
                                  channels=len(meta["channels"]))
     except ValueError as e:
         raise InputError(f"{source}: {e}") from e
@@ -143,6 +144,7 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     bank = psp.PrototypeBank(params["psp.xi"], provenance)
     scaler = psp.SparseScaler(params["psp.logits"])
+    part = surf.build_partition(meta["mesh_order"], meta["patch_order"])
     return Model(params=params, enc_cfg=ecfg, bank=bank, scaler=scaler,
                  part=part, meta=meta)
 
@@ -210,21 +212,20 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         raise InputError("train and val splits must be nonempty")
     model = init_model(cfg, manifest)
     part = model.partition()
-    train_samples = normalized(splits["train"], model)
-    labels = np.array([s.label for s in splits["train"]])
+    # the one copy held; batches and candidates derive from it as eval's do
+    samples = splits["train"]
+    labels = np.array([s.label for s in samples])
     cw = class_weights(labels) if tcfg["class_weighted"] else (1.0, 1.0)
-    candidates = [s for s in train_samples if s.label == 1]
-    if not candidates:
+    if not labels.any():
         raise InputError("no projection candidates in the training split")
 
     def project(epoch):
+        positives = [s for s in samples if s.label == 1]
         psp.project_prototypes(model.bank, model.params, model.enc_cfg,
-                               candidates, part, model.hemispheres,
-                               epoch=epoch,
+                               normalized(positives, model), part,
+                               model.hemispheres, epoch=epoch,
                                rectify_prototypes=model.rectify_prototypes)
 
-    patches_all = np.stack([surf.patchify(s, part, model.hemispheres)
-                            for s in train_samples])
     optim = AdamW(model.params, lr=tcfg["lr"],
                   weight_decay=tcfg["weight_decay"])
     history = []
@@ -236,11 +237,13 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
     for epoch in range(tcfg["epochs"]):
         shuffle_rng = np.random.default_rng([tcfg["seed"], 1, epoch])
         dropout_rng = np.random.default_rng([tcfg["seed"], 2, epoch])
-        order = shuffle_rng.permutation(len(train_samples))
+        order = shuffle_rng.permutation(len(samples))
         losses = []
         for bi, start in enumerate(range(0, len(order), tcfg["batch_size"])):
             idx = order[start:start + tcfg["batch_size"]]
-            batch = Tensor(patches_all[idx])
+            batch = Tensor(np.stack([
+                surf.patchify(s, part, model.hemispheres)
+                for s in normalized([samples[i] for i in idx], model)]))
             y = labels[idx]
             # a non-finite value is named by the op check, not by numpy
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -479,7 +479,7 @@ class TestBackwardPass:
         np.testing.assert_array_equal(x.grad, 8 * x.data)
         for node in (y, loss):
             assert node.grad is None and node._backward is None
-            assert node._parents == ()
+            assert node.node.parents == ()
 
     def test_second_backward_is_refused(self):
         x = Tensor(np.arange(3.0), requires_grad=True)
@@ -559,7 +559,7 @@ class TestTape:
         out = TAPE_OPS[op](a, b)
         assert out.op == op.split("+")[0]
         assert not out.requires_grad
-        assert out._backward is None and out._parents == ()
+        assert out._backward is None and out.node.parents == ()
 
     # ops whose backward reads no input value: only shapes, a mask or
     # their own output (softmax), or normalized values (layernorm)

@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +186,45 @@ class TestTrainRun:
         model, _ = train.train_run(cfg, manifest, samples)
         rep = train.evaluate(model, samples["test"])
         assert rep.bacc > 0.5
+
+
+class TestTrainingMemory:
+    def test_training_holds_the_split_once(self, tiny_data, monkeypatch):
+        """At the first backward() the training split is held once, as
+        loaded: no patch stack of the whole split is live, and the
+        normalised copies alive are at most one batch's."""
+        manifest, samples = tiny_data
+        cfg = small_config(epochs=1)
+        batch = cfg["train"]["batch_size"]
+        split = samples["train"]
+        assert len(split) > batch
+        part = surf.build_partition(manifest.mesh_order, manifest.patch_order)
+        stack = surf.patchify(split[0], part, manifest.hemispheres).nbytes \
+            * len(split)
+        lines, first_line = inspect.getsourcelines(surf.normalize)
+        in_normalize = range(first_line, first_line + len(lines))
+        backward, seen = Tensor.backward, []
+
+        def first(self):
+            monkeypatch.setattr(Tensor, "backward", backward)
+            snapshot = tracemalloc.take_snapshot()
+            sizes = [t.size for t in snapshot.traces]
+            normalised = sum(
+                stat.size for stat in snapshot.statistics("lineno")
+                if stat.traceback[0].filename == surf.__file__
+                and stat.traceback[0].lineno in in_normalize)
+            seen.append((sizes, normalised))
+            return backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", first)
+        tracemalloc.start()
+        try:
+            train.train_run(cfg, manifest, samples)
+        finally:
+            tracemalloc.stop()
+        (sizes, normalised), = seen
+        assert stack not in sizes
+        assert normalised <= batch * split[0].features.nbytes
 
 
 class TestInference:
@@ -424,6 +465,24 @@ class TestCheckpointDefects:
         save_arrays(saved, arrays, meta)
         with pytest.raises(InputError,
                            match=re.escape(f"m.xck: {message}")):
+            train.load_checkpoint(saved)
+
+    def test_outsized_mesh_order_is_refused_unbuilt(self, saved,
+                                                     monkeypatch):
+        """A meta's orders are checked against the arrays by arithmetic,
+        so an order-30 mesh is refused without being subdivided."""
+        def refuse(*args):
+            raise AssertionError("a checkpoint load built a mesh")
+
+        monkeypatch.setattr(surf, "build_partition", refuse)
+        monkeypatch.setattr(surf, "build_icosphere", refuse)
+        arrays, meta = load_arrays(saved)
+        meta["mesh_order"] = 30
+        save_arrays(saved, arrays, meta)
+        with pytest.raises(InputError,
+                           match=r"m\.xck: array 'patch_proj\.w': found "
+                                 r"shape \(12, 16\), the model needs shape "
+                                 r"\(\d+, 16\)"):
             train.load_checkpoint(saved)
 
     def test_untrained_model_round_trips(self, saved):

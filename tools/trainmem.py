@@ -1,11 +1,14 @@
-"""Measure the memory of a one-epoch `train` at the paper's shape.
+"""Measure the memory of `train` at both shapes of `tools/bytecheck.py`.
 
     python3 tools/trainmem.py <checkout>
 
-generates the paper-shape dataset of `tools/bytecheck.py` (order-6 mesh,
-order-2 patches, 2 hemispheres, 4/2/1 subjects, seed 11) in a temporary
-directory and trains it with that tool's settings (`train.epochs=1`,
-`train.batch_size=4`). Each command runs in a subprocess with
+For each of that tool's shapes, the acceptance suite's BENCH shape
+(`bench`: order-4 mesh, order-1 patches, 200/50/50 subjects, seed 11,
+`train.seed=11`, `train.epochs=5`) and the paper's shape (`paper`:
+order-6 mesh, order-2 patches, 2 hemispheres, 4/2/1 subjects, seed 11,
+`train.epochs=1`, `train.batch_size=4`), it generates the dataset in a
+temporary directory and trains it with that tool's settings, under a
+heading `== <shape> ==`. Each command runs in a subprocess with
 `<checkout>/src` on PYTHONPATH and one BLAS thread. The first `train`
 runs under tracemalloc and prints the live memory when the first
 `backward()` starts, the ten source lines that allocated most of it, and
@@ -44,6 +47,7 @@ def first(self):
     tracemalloc.reset_peak()
     visits = backward(self)
     peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()  # the rest of the run is not measured
     report.append(f"live at the first backward(): {live / MB:.1f} MB")
     for stat in top:
         frame = stat.traceback[0]
@@ -84,26 +88,28 @@ def main(argv: list) -> int:
         return 2
     checkout = os.path.abspath(argv[0])
     env = checkout_env(checkout, "1")
-    spec, sets = SHAPES["paper"]
-    with tempfile.TemporaryDirectory() as work:
-        with open(os.path.join(work, "spec.json"), "w") as f:
-            json.dump(spec, f)
-        data = os.path.join(work, "data")
+    for shape, (spec, sets) in SHAPES.items():
+        print(f"== {shape} ==", flush=True)
+        with tempfile.TemporaryDirectory() as work:
+            with open(os.path.join(work, "spec.json"), "w") as f:
+                json.dump(spec, f)
+            data = os.path.join(work, "data")
 
-        def train(out):
-            return ["train", "--data", data, "--out", os.path.join(work, out),
-                    *[a for s in sets for a in ("--set", s)]]
-        for args in (["-m", "xsit.cli", "gen-data", "--spec",
-                      os.path.join(work, "spec.json"), "--out", data],
-                     ["-c", _TRACED, checkout, *train("traced")],
-                     ["-c", _UNTRACED, *train("untraced")]):
-            proc = subprocess.run([sys.executable, *args], env=env,
-                                  capture_output=True, text=True)
-            if args[0] == "-c":
-                print(proc.stdout, end="")
-            if proc.returncode != 0:
-                print(proc.stderr, end="", file=sys.stderr)
-                return 1
+            def train(out):
+                return ["train", "--data", data, "--out",
+                        os.path.join(work, out),
+                        *[a for s in sets for a in ("--set", s)]]
+            for args in (["-m", "xsit.cli", "gen-data", "--spec",
+                          os.path.join(work, "spec.json"), "--out", data],
+                         ["-c", _TRACED, checkout, *train("traced")],
+                         ["-c", _UNTRACED, *train("untraced")]):
+                proc = subprocess.run([sys.executable, *args], env=env,
+                                      capture_output=True, text=True)
+                if args[0] == "-c":
+                    print(proc.stdout, end="", flush=True)
+                if proc.returncode != 0:
+                    print(proc.stderr, end="", file=sys.stderr)
+                    return 1
     return 0
 
 
