@@ -108,7 +108,9 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     Every meta key the Model reads must be present with its type, and any
     other is ignored; the config sections go through the config's own
     checks. The shapes are arithmetic, and the partition is built last,
-    once the arrays fit, so an outsized order is refused, not built."""
+    once the arrays fit, so an outsized order is refused, not built. A
+    model of mesh order d holds more than d values, so given arrays bound
+    the orders before any power of them is taken."""
     try:
         surf.check_dataset_fields(meta)
         check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
@@ -120,11 +122,16 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
         for key in DEFAULTS["encoder"]:
             if f"encoder.{key}" not in given:
                 raise InputError(f"missing key 'encoder.{key}'")
+        values = None if callable(arrays) else sum(
+            a.size for a in arrays.values())
+        if values is not None and meta["mesh_order"] > values:
+            raise InputError(f"key 'mesh_order' {meta['mesh_order']} needs "
+                             f"more than the {values} values the arrays hold")
+        m = surf.patch_size(meta["mesh_order"], meta["patch_order"])
         n_total = surf.face_count(meta["patch_order"]) * meta["hemispheres"]
         ecfg = enc.EncoderConfig(**{k: given[f"encoder.{k}"]
                                     for k in DEFAULTS["encoder"]},
-                                 seq_len=n_total, patch_size=surf.patch_size(
-                                     meta["mesh_order"], meta["patch_order"]),
+                                 seq_len=n_total, patch_size=m,
                                  channels=len(meta["channels"]))
     except ValueError as e:
         raise InputError(f"{source}: {e}") from e
@@ -212,15 +219,14 @@ def train_run(cfg: dict, manifest: surf.DatasetManifest, splits: dict,
         raise InputError("train and val splits must be nonempty")
     model = init_model(cfg, manifest)
     part = model.partition()
-    # the one copy held; batches and candidates derive from it as eval's do
-    samples = splits["train"]
+    samples = splits["train"]  # batches, candidates derive from it as eval's
     labels = np.array([s.label for s in samples])
     cw = class_weights(labels) if tcfg["class_weighted"] else (1.0, 1.0)
-    if not labels.any():
+    positives = [s for s in samples if s.label == 1]
+    if not positives:
         raise InputError("no projection candidates in the training split")
 
     def project(epoch):
-        positives = [s for s in samples if s.label == 1]
         psp.project_prototypes(model.bank, model.params, model.enc_cfg,
                                normalized(positives, model), part,
                                model.hemispheres, epoch=epoch,

@@ -485,6 +485,34 @@ class TestCheckpointDefects:
                                  r"\(\d+, 16\)"):
             train.load_checkpoint(saved)
 
+    @pytest.mark.parametrize("orders, message", [
+        (dict(patch_order=10**12), "patch order must not exceed mesh order"),
+        (dict(mesh_order=10**12), "key 'mesh_order' 1000000000000 needs "
+                                  "more than the ")])
+    def test_astronomical_order_is_refused_before_any_power(
+            self, saved, monkeypatch, orders, message):
+        """An order no array set could hold is refused before a face
+        count or patch size of it is computed, or a mesh built."""
+        def refuse(*args):
+            raise AssertionError("a checkpoint load built a mesh")
+
+        def small(f):  # its first argument is the order it raises 2 to
+            def checked(*orders):
+                assert orders[0] <= 64, f"{f.__name__}{orders} computed"
+                return f(*orders)
+            return checked
+
+        monkeypatch.setattr(surf, "build_partition", refuse)
+        monkeypatch.setattr(surf, "build_icosphere", refuse)
+        monkeypatch.setattr(surf, "face_count", small(surf.face_count))
+        monkeypatch.setattr(surf, "patch_size", small(surf.patch_size))
+        arrays, meta = load_arrays(saved)
+        meta.update(orders)
+        save_arrays(saved, arrays, meta)
+        with pytest.raises(InputError,
+                           match=re.escape(f"m.xck: {message}")):
+            train.load_checkpoint(saved)
+
     def test_untrained_model_round_trips(self, saved):
         again = train.load_checkpoint(saved)
         assert again.bank.provenance == [None] * 80
