@@ -309,6 +309,14 @@ def load_dataset(manifest_path: str):
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))
+    if manifest.subjects:
+        # a subject of mesh order d holds more than 4**d = 2**(2d) bytes, so
+        # the first file's size bounds the order before any power of it
+        first = os.path.join(base, manifest.subjects[0]["path"])
+        size = os.path.getsize(first)
+        if 2 * manifest.mesh_order >= size.bit_length():
+            raise InputError(f"{where}key 'mesh_order' {manifest.mesh_order} "
+                             f"needs more than the {size} bytes of {first}")
     splits = {s: [] for s in SPLITS}
     for entry in manifest.subjects:
         feats = load_sample(os.path.join(base, entry["path"]),

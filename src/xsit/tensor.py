@@ -24,17 +24,13 @@ from .files import InputError, atomic_write, check_fields
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-# Bytes of attention scores per block of whole [S, S] (batch·head) slices:
-# one block of scores, probabilities and score gradient exists at a time,
-# and it stays in cache between the products. Forward+backward of a
-# [16, 6, 80, 80] attention with dropout (one BLAS thread, 4 MB L2) took
-# 3.70 ms at 512 KB, 3.96 at 256 KB, 3.83 at 1 MB and 4.35 unblocked.
-# It also decides what a node on the tape keeps for its backward: the
-# probabilities while one slice fits in a block, else each row's max and
-# sum of exponentials, from which the backward recomputes each block's
-# probabilities. A [640, 640] slice is larger than a block, so paper-scale
-# blocks are one slice each and recompute. A [80, 80] slice fits, and
-# there recomputing cost 5% of the `bench-train` benchmark's training.
+# Bytes of attention scores per block of whole [S, S] (batch·head) slices,
+# the block size and nothing else: the forward's one [S, S] array and the
+# backward's two exist one block at a time. A paper-scale [640, 640] slice
+# (1.6 MB) is larger than a block, so there each block is one slice. At
+# [16, 6, 80, 80] with dropout (one BLAS thread, 2-vCPU VM) forward+backward
+# took 4.4-4.9 ms at 512 KB, 4.4-5.3 at 256 KB, 4.2-5.0 at 1 MB and
+# 4.5-5.4 unblocked (minima of 40 calls, three repeats).
 _ATTN_BLOCK = 1 << 19
 
 # float32 erf: the rational x·P(x²)/Q(x²) of Eigen's and XLA's float
@@ -131,9 +127,9 @@ def keep_scale(p: float, dtype) -> np.floating:
     return dtype(1.0) / dtype(1.0 - p)
 
 
-def _dropout_(a: np.ndarray, keep: np.ndarray, scale, out=None):
+def _dropout_(a: np.ndarray, keep: np.ndarray, scale):
     """a·keep·scale in a's dtype: for bool keep, a·(keep·scale) to the bit."""
-    out = np.multiply(a, keep, out=out, dtype=a.dtype)
+    out = np.multiply(a, keep, dtype=a.dtype)
     return np.multiply(out, scale, out=out)
 
 
@@ -156,17 +152,11 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _softmax_(z: np.ndarray, rows=None) -> np.ndarray:
-    """Softmax along the last axis, computed in place in z. With rows, a
-    pair of arrays of z's shape but 1 along the last axis, each row's max
-    and sum of exponentials are stored in them."""
-    top = z.max(axis=-1, keepdims=True)
-    z -= top
+def _softmax_(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed in place in z."""
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    total = z.sum(axis=-1, keepdims=True)
-    z /= total
-    if rows is not None:
-        rows[0][...], rows[1][...] = top, total
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -444,17 +434,21 @@ class Tensor:
         at rate p, the probabilities get inverted dropout first: kept ones
         are scaled by `keep_scale(p)`, the rest zeroed.
 
-        Forward and backward run in blocks of whole [S, S] slices, about
-        `_ATTN_BLOCK` bytes of scores each, so the scores, the dropped
-        probabilities and the score gradient exist one block at a time.
-        Of [..., S, S] shape a node on the tape keeps the mask, packed 8
-        to a byte, and, while one slice fits in a block, the softmax output
-        y. A larger slice keeps only each row's max and sum of exponentials
-        ([..., S, 1]), and the backward recomputes the probabilities from
-        q, k and those two. A node off the tape keeps nothing. No row is
-        split and every product is one BLAS call per slice, so the
-        arithmetic, and the bytes, are those of matmul, a mul by the scale
-        in the dtype, softmax, a mask mul and matmul as separate nodes.
+        It makes FlashAttention-2's passes (Dao 2023, §3.1): the scores are
+        (q/√dh)·kᵀ, their exponentials E = exp(s - m), for m each row's max,
+        stay unnormalised and are masked by one multiply, and keep_scale/ℓ,
+        for ℓ each row's sum of E, scales the [S, dh] product. Forward and
+        backward run in blocks of whole [S, S] slices, about `_ATTN_BLOCK`
+        bytes of scores each, so the [S, S] arrays exist one block at a
+        time. A node on the tape keeps the mask, packed 8 to a byte, each
+        row's m and 1/ℓ ([..., S, 1]) and its output O; its backward
+        recomputes E from q, k and m, with the forward's bits, and takes
+        rowsum(dP∘P) as rowsum(dO∘O), over [S, dh]. A node off the tape
+        keeps nothing. No row is split and every product is one BLAS call
+        per slice, so a slice's bytes do not depend on the blocks. O has
+        q's memory layout: for the encoder's heads, views of [B, S, h, dh]
+        arrays, the transpose back is a view too, so the O this node keeps
+        is the array the next matmul keeps, not a copy.
         """
         k, v = self._coerce(k), self._coerce(v)
         if self.ndim < 2 or k.shape != self.shape or v.shape != self.shape:
@@ -464,7 +458,7 @@ class Tensor:
         dtype = self.data.dtype.type
         *lead, s, dh = self.shape
         scale = dtype(1.0 / math.sqrt(dh))
-        kept = keep_scale(p, dtype)
+        kept = dtype(1) if keep is None else keep_scale(p, dtype)  # any p
         if keep is not None and keep.shape != (*lead, s, s):
             raise TensorError(f"attention: keep mask of shape {keep.shape} "
                               f"for scores of shape {(*lead, s, s)}")
@@ -487,60 +481,58 @@ class Tensor:
         # faster than s short ones
         mask = None if keep is None else \
             np.packbits(keep.reshape(r, m, s * s), axis=-1)
-
-        def drop(a, b, dst=None):
-            if mask is None:
-                return a
-            bits = np.unpackbits(mask[b], axis=-1, count=s * s).view(bool)
-            return _dropout_(a, bits.reshape(a.shape), kept, dst)
-
         q4, k4, v4 = grid(self.data), grid(k.data), grid(v.data)
         nq, nk, nv = self.node, k.node, v.node
 
-        def scores(b, out):
-            """Block b's scaled scores, written into out, or into its first
-            rows and slices for a shorter last block."""
+        def exps(b, out, forward):
+            """Block b's E in out (its first rows and slices for a shorter
+            last block), and its keep mask unpacked, or None. The forward
+            stores the rows' max in top[b]; the backward reads it there."""
             nrows, nslices = q4[b].shape[:2]
-            out = np.matmul(q4[b], np.swapaxes(k4[b], -1, -2),
-                            out=out[:nrows, :nslices])
-            out *= scale
-            return out
+            e = np.matmul(q4[b] * scale, np.swapaxes(k4[b], -1, -2),
+                          out=out[:nrows, :nslices])
+            if forward:
+                np.max(e, axis=-1, keepdims=True, out=top[b])
+            e -= top[b]
+            np.exp(e, out=e)
+            bits = None if mask is None else np.unpackbits(
+                mask[b], axis=-1, count=s * s).view(bool).reshape(e.shape)
+            return e, bits
 
-        tape = self.requires_grad or k.requires_grad or v.requires_grad
         block = (rows, step, s, s)
-        # y is kept while a slice fits in a block, else the rows' max and
-        # sum; a node off the tape keeps neither
-        y = np.empty((r, m, s, s), dtype) if tape and fit else None
-        top, total = np.empty((2, r, m, s, 1), dtype) if tape and not fit \
-            else (None, None)
-        buf = np.empty(block, dtype) if y is None else None
-        ctx = np.empty((r, m, s, dh), dtype)
+        top, inv = np.empty((2, r, m, s, 1), dtype)  # m and 1/ℓ of each row
+        ctx = np.empty_like(q4)  # in q's layout
+        buf = np.empty(block, dtype)
         for b in blocks:
-            pb = scores(b, buf if y is None else y[b])
-            _softmax_(pb, None if top is None else (top[b], total[b]))
-            np.matmul(drop(pb, b), v4[b], out=ctx[b])
+            e, bits = exps(b, buf, True)
+            np.divide(dtype(1), e.sum(axis=-1, keepdims=True), out=inv[b])
+            if bits is not None:
+                e *= bits
+            np.matmul(e, v4[b], out=ctx[b])
+            ctx[b] *= kept * inv[b]
 
         def backward(g):
             g = grid(g)
             dq, dk, dv = (np.empty((r, m, s, dh), dtype) for _ in range(3))
-            again = np.empty(block, dtype) if y is None else None
+            again, work = np.empty(block, dtype), np.empty(block, dtype)
             for b in blocks:
-                if y is None:  # the forward's probabilities, recomputed
-                    pb = scores(b, again)
-                    pb -= top[b]
-                    np.exp(pb, out=pb)
-                    pb /= total[b]
-                else:
-                    pb = y[b]
-                np.matmul(np.swapaxes(drop(pb, b), -1, -2), g[b], out=dv[b])
-                ds = np.matmul(g[b], np.swapaxes(v4[b], -1, -2))
-                ds = _softmax_grad_(drop(ds, b, dst=ds), pb)
-                ds *= scale
+                e, bits = exps(b, again, False)
+                # ℓ·dS = E∘(dP - D): dP, the dropped probabilities' gradient
+                # through the mask, and D = rowsum(dP∘P) = rowsum(dO∘O)
+                ds = np.matmul(g[b] * kept, np.swapaxes(v4[b], -1, -2),
+                               out=work[:e.shape[0], :e.shape[1]])
+                if bits is not None:
+                    ds *= bits
+                ds -= (g[b] * ctx[b]).sum(axis=-1, keepdims=True)
+                ds *= e
+                if bits is not None:
+                    e *= bits
+                np.matmul(np.swapaxes(e, -1, -2), g[b] * (kept * inv[b]),
+                          out=dv[b])
+                rs = scale * inv[b]
                 np.matmul(ds, k4[b], out=dq[b])
-                # kᵀ's product is written whole, then transposed into place:
-                # a transposed `out=` would take matmul off BLAS
-                dk[b] = np.swapaxes(
-                    np.matmul(np.swapaxes(q4[b], -1, -2), ds), -1, -2)
+                dq[b] *= rs
+                np.matmul(np.swapaxes(ds, -1, -2), q4[b] * rs, out=dk[b])
             nv.accum(dv.reshape(nv.shape))
             nq.accum(dq.reshape(nq.shape))
             nk.accum(dk.reshape(nk.shape))

@@ -89,6 +89,36 @@ def fd_check(fn, tensors, n_coords=8, h=1e-6, rtol=1e-6, atol=1e-8):
     return worst
 
 
+def composed_check(rng, part, dropout):
+    """fd_check of the weighted BCE of a one-block encoder and the
+    decoder over the partition's patches, in float64, training with the
+    given dropout rate."""
+    cfg = enc.EncoderConfig(dim=8, depth=1, heads=2, dropout=dropout,
+                            seq_len=part.n_patches,
+                            patch_size=part.patch_size, channels=2)
+    params = {k: Tensor(v.data.astype(np.float64), requires_grad=True)
+              for k, v in enc.init_params(cfg, 0).items()}
+    xi = Tensor(rng.normal(size=(part.n_patches, 8)),
+                requires_grad=True, dtype=np.float64)
+    logits = Tensor(rng.normal(size=(part.n_patches,)),
+                    requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.normal(size=(2, part.n_patches, part.patch_size, 2)),
+               requires_grad=True, dtype=np.float64)
+    bank = psp.PrototypeBank(xi, [None] * part.n_patches)
+    scaler = psp.SparseScaler(logits)
+
+    def composed():
+        emb = enc.encode(x, params, cfg, training=dropout > 0,
+                         rng=np.random.default_rng(3))
+        p = psp.class_probability(emb, bank, scaler)
+        return train.weighted_bce(p, np.array([1, 0]), (1.0, 2.0))
+
+    tensors = [x, xi, logits, params["patch_proj.w"], params["pos_emb"],
+               params["block0.attn.wq"], params["block0.attn.wo"],
+               params["block0.mlp.w1"], params["final_norm.g"]]
+    return fd_check(composed, tensors, n_coords=6)
+
+
 class TestCriterion1:
     def test_autodiff_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -129,31 +159,14 @@ class TestCriterion1:
         for fn, ts in ops:
             worst = max(worst, fd_check(fn, ts))
 
-        # composed encoder + decoder graph, tiny config
-        part = surf.build_partition(2, 0)
-        cfg = enc.EncoderConfig(dim=8, depth=1, heads=2, dropout=0.0,
-                                seq_len=part.n_patches,
-                                patch_size=part.patch_size, channels=2)
-        params = {k: Tensor(v.data.astype(np.float64), requires_grad=True)
-                  for k, v in enc.init_params(cfg, 0).items()}
-        xi = Tensor(rng.normal(size=(part.n_patches, 8)),
-                    requires_grad=True, dtype=np.float64)
-        logits = Tensor(rng.normal(size=(part.n_patches,)),
-                        requires_grad=True, dtype=np.float64)
-        x = Tensor(rng.normal(size=(2, part.n_patches, part.patch_size, 2)),
-                   requires_grad=True, dtype=np.float64)
-        bank = psp.PrototypeBank(xi, [None] * part.n_patches)
-        scaler = psp.SparseScaler(logits)
-
-        def composed():
-            emb = enc.encode(x, params, cfg)
-            p = psp.class_probability(emb, bank, scaler)
-            return train.weighted_bce(p, np.array([1, 0]), (1.0, 2.0))
-
-        tensors = [x, xi, logits, params["patch_proj.w"], params["pos_emb"],
-                   params["block0.attn.wq"], params["block0.attn.wo"],
-                   params["block0.mlp.w1"], params["final_norm.g"]]
-        worst = max(worst, fd_check(composed, tensors, n_coords=6))
+        # composed encoder + decoder graph, tiny config: off the training
+        # path at a size whose [S, S] slices fit an attention block, then
+        # with dropout on at 320 patches, whose float64 slices (800 KB) are
+        # each larger than a block. Each evaluation draws its masks from
+        # a fresh rng of one seed, so every one drops the same elements.
+        for mesh, patches, p in ((2, 0, 0.0), (5, 2, 0.1)):
+            worst = max(worst, composed_check(rng, surf.build_partition(
+                mesh, patches), p))
         report("criterion 1", True,
                f"gradients match finite differences, worst rel err "
                f"{worst:.2e} < 1e-6")

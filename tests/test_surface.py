@@ -315,6 +315,28 @@ class TestDatasetIO:
                            match=re.escape(f"{path}: {message}")):
             surf.load_dataset(str(path))
 
+    @pytest.mark.parametrize("order", [100, 10 ** 12])
+    def test_outsized_mesh_order_is_refused_before_any_power(
+            self, tmp_path, monkeypatch, order):
+        """The first subject file's size bounds the order: no vertex count
+        of it is computed, and the refusal names the manifest and the key.
+        Order 100 is below the file's 336 bytes, but its vertices are not."""
+        path, _ = self._write_dataset(tmp_path)
+        data = json.loads(path.read_text())
+        data["mesh_order"] = order
+        path.write_text(json.dumps(data))
+        count = surf.vertex_count
+
+        def bounded(order):
+            assert order <= 64, f"vertex_count({order})"
+            return count(order)
+        monkeypatch.setattr(surf, "vertex_count", bounded)
+        first = tmp_path / "s0.f32"
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: key 'mesh_order' {order} needs more than the "
+                f"{first.stat().st_size} bytes of {first}")):
+            surf.load_dataset(str(path))
+
     def test_manifest_not_json(self, tmp_path):
         path, _ = self._write_dataset(tmp_path)
         path.write_text(path.read_text()[:-1])

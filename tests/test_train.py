@@ -121,9 +121,9 @@ class TestTrainRun:
     def test_dropout_run_bytes_pinned(self, tiny_data, tmp_path):
         """A run with dropout on writes these exact bytes, at 1 and 2 BLAS
         threads. They change if the attention's arithmetic order changes,
-        e.g. the scale folded into q, if a first gradient keeps a
-        transposed layout, or if the keep masks' draws or gelu's erf
-        change."""
+        e.g. where its scale or its row sums are applied, if a first
+        gradient keeps a transposed layout, or if the keep masks' draws or
+        gelu's erf change."""
         manifest, samples = tiny_data
         cfg = small_config()
         cfg["encoder"]["dropout"] = 0.1
@@ -131,9 +131,9 @@ class TestTrainRun:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    [:16] for f in ("model.xck", "model.xck.provenance.json",
                                    "metrics.csv")}
-        assert digests == {"model.xck": "7c5c0f96f51084ff",
+        assert digests == {"model.xck": "a28e9c93ea6558f0",
                            "model.xck.provenance.json": "fcc863fb0056046e",
-                           "metrics.csv": "814b1791df4dcf1b"}
+                           "metrics.csv": "ce3d3e3b020d7371"}
 
     def test_seed_changes_outcome(self, tiny_data):
         manifest, samples = tiny_data
