@@ -69,6 +69,13 @@ class IcosphereMesh:
             self.faces.ravel().tolist())
 
 
+# The one rule for a mesh or patch order, wherever one is read. An order-30
+# icosphere has 10·4^30 + 2 ≈ 1.15e19 vertices, more than an int64 index can
+# count, so no larger order names a mesh or a file the program could hold,
+# and every power of an order up to 29 is a small integer.
+ORDER = (int, lambda v: 0 <= v <= 29, "an integer in [0, 29]")
+
+
 def vertex_count(order: int) -> int:
     return 10 * 4 ** order + 2
 
@@ -77,8 +84,8 @@ def face_count(order: int) -> int:
 
 
 def build_icosphere(order: int) -> IcosphereMesh:
-    if order < 0:
-        raise InputError("icosphere order must be >= 0")
+    if not ORDER[1](order):
+        raise InputError(f"icosphere order must be {ORDER[2]}, got {order}")
     verts = _BASE_VERTICES / np.linalg.norm(_BASE_VERTICES, axis=1,
                                             keepdims=True)
     faces = _BASE_FACES.copy()
@@ -248,8 +255,8 @@ SPLITS = ("train", "val", "test")  # the splits a subject can be in
 # statistics of one channel, and one manifest subject entry, as field tables
 # of `files.check_fields`.
 DATASET_KEYS = {
-    "mesh_order": (int, lambda v: v >= 0, "an integer >= 0"),
-    "patch_order": (int, lambda v: v >= 0, "an integer >= 0"),
+    "mesh_order": ORDER,
+    "patch_order": ORDER,
     "hemispheres": (int, lambda v: v >= 1, "an integer >= 1"),
     "channels": (list, lambda v: v and all(isinstance(c, str) for c in v),
                  "a nonempty list of names"),
@@ -257,8 +264,11 @@ DATASET_KEYS = {
 }
 _STATS = {"mean": (float, None, "a number"),
           "std": (float, lambda v: v > 0, "a number > 0")}
+# an id is a CSV field of the explain output and part of its file names,
+# which the OS refuses with a '/' or a NUL
 _SUBJECT = {
-    "id": (str, lambda v: "/" not in v, "a string without '/'"),
+    "id": (str, lambda v: v and not set(v) & set("/,\n\r\0"),
+           "a nonempty string without '/', ',', line break or NUL"),
     "label": (int, lambda v: v in (0, 1), "0 or 1"),
     "split": (str, lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}"),
     "path": (str, None, "a string"),
@@ -268,8 +278,13 @@ _SUBJECT = {
 def check_dataset_fields(d, where: str = "") -> None:
     """InputError naming the first of the mesh and patch orders,
     hemispheres, channel names and per-channel {mean, std > 0} stats that
-    `d` lacks or holds out of range."""
+    `d` lacks or holds out of range, or a patch order above the mesh
+    order."""
     check_fields(where, d, DATASET_KEYS)
+    try:
+        patch_size(d["mesh_order"], d["patch_order"])
+    except InputError as e:
+        raise InputError(f"{where}{e}") from e
     stats = d["stats"]
     if sorted(stats) != sorted(d["channels"]) or not all(
             isinstance(s, dict) and sorted(s) == ["mean", "std"]
@@ -295,13 +310,6 @@ def load_dataset(manifest_path: str):
     ids = set()
     for i, entry in enumerate(subjects["subjects"]):
         sid = check_fields(f"{where}subject {i}: ", entry, _SUBJECT)["id"]
-        # an id is a CSV field of the explain output and part of its file
-        # names, which the OS refuses with a NUL
-        if not sid or "," in sid or "\n" in sid or "\r" in sid \
-                or "\0" in sid:
-            raise InputError(f"{where}subject {i}: key 'id' must be nonempty "
-                             f"and hold no ',', line break or NUL, got "
-                             f"{sid!r}")
         if sid in ids:
             raise InputError(f"{where}subject {i}: key 'id' must be "
                              f"unique, got {sid!r} again")
@@ -309,14 +317,6 @@ def load_dataset(manifest_path: str):
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))
-    if manifest.subjects:
-        # a subject of mesh order d holds more than 4**d = 2**(2d) bytes, so
-        # the first file's size bounds the order before any power of it
-        first = os.path.join(base, manifest.subjects[0]["path"])
-        size = os.path.getsize(first)
-        if 2 * manifest.mesh_order >= size.bit_length():
-            raise InputError(f"{where}key 'mesh_order' {manifest.mesh_order} "
-                             f"needs more than the {size} bytes of {first}")
     splits = {s: [] for s in SPLITS}
     for entry in manifest.subjects:
         feats = load_sample(os.path.join(base, entry["path"]),

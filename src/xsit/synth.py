@@ -21,8 +21,8 @@ from .files import InputError, atomic_write, checked
 
 # key -> (type, test, description) of each spec setting
 FIELDS = {
-    "mesh_order": (int, lambda v: v >= 0, ">= 0"),
-    "patch_order": (int, lambda v: v >= 0, ">= 0"),
+    "mesh_order": surf.ORDER,
+    "patch_order": surf.ORDER,
     "hemispheres": (int, lambda v: v >= 1, ">= 1"),
     "channels": (int, lambda v: v >= 1, ">= 1"),
     "lesion_patches": (list, lambda v: len(v) > 0, "nonempty"),

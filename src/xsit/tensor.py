@@ -44,26 +44,6 @@ _ERF32_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
 
-# float64 erf: Cephes ndtr.c, the algorithm of scipy.special.erf. T/U for
-# |x| <= 1, then erf = 1 - erfc with P/Q, |x| clipped at 8. From |x| of
-# about 5.9216 on, 1 - erfc rounds to 1, so Cephes' R/S branch above 8 is
-# left out. U and Q have an implicit leading 1.
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-
 
 class TensorError(ValueError):
     """A misuse of the autodiff, or a non-finite value an op produced,
@@ -77,12 +57,11 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _horner(z: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+def _horner(z: np.ndarray, coefs) -> np.ndarray:
     """Polynomial with the given coefficients, highest power first, at z,
-    evaluated in a new array in z's dtype; with monic=True the leading
-    coefficient 1 is implicit (Cephes' p1evl)."""
-    out = z + coefs[0] if monic else z * coefs[0] + coefs[1]
-    for c in coefs[1:] if monic else coefs[2:]:
+    evaluated in a new array in z's dtype."""
+    out = z * coefs[0] + coefs[1]
+    for c in coefs[2:]:
         out *= z
         out += c
     return out
@@ -98,26 +77,12 @@ def _erf32(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _erf64(x: np.ndarray) -> np.ndarray:
-    """erf in float64, step for step Cephes' erf/erfc as scipy has them
-    below |x| = 8 and exactly ±1 from there on: odd, and within 3 ulp of
-    the exact value."""
-    x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    out = np.empty_like(x)
-    near = a <= 1.0
-    z = x[near] ** 2
-    out[near] = a[near] * _horner(z, _ERF_T) / _horner(z, _ERF_U,
-                                                          monic=True)
-    a = np.minimum(a[~near], 8.0)
-    out[~near] = 1.0 - np.exp(-a * a) * _horner(a, _ERFC_P) / _horner(
-        a, _ERFC_Q, monic=True)
-    return np.copysign(out, x)
-
-
 def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, in float32 for a float32 array, else float64."""
-    return _erf32(x) if x.dtype == np.float32 else _erf64(x)
+    """The error function, in float32 for a float32 array, else `math.erf`
+    elementwise in float64."""
+    if x.dtype == np.float32:
+        return _erf32(x)
+    return np.asarray(np.frompyfunc(math.erf, 1, 1)(x), dtype=np.float64)
 
 
 def keep_scale(p: float, dtype) -> np.floating:
@@ -150,22 +115,6 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     return grad
-
-
-def _softmax_(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, computed in place in z."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
-
-
-def _softmax_grad_(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient at a softmax's input from the gradient g at its output y,
-    computed in place in g."""
-    g -= (g * y).sum(axis=-1, keepdims=True)
-    g *= y
-    return g
 
 
 class _Node:
@@ -423,9 +372,15 @@ class Tensor:
     def softmax(self) -> "Tensor":
         """Softmax along the last axis."""
         a = self.node
-        y = _softmax_(np.array(self.data))
-        return self._make(y, (self,), lambda g: a.accum(
-            _softmax_grad_(np.array(g), y)), "softmax")
+        y = self.data - self.data.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+
+        def backward(g):
+            g = g - (g * y).sum(axis=-1, keepdims=True)
+            g *= y
+            a.accum(g)
+        return self._make(y, (self,), backward, "softmax")
 
     def attention(self, k: "Tensor", v: "Tensor",
                   keep: np.ndarray | None = None, p: float = 0.0) -> "Tensor":

@@ -108,9 +108,7 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
     Every meta key the Model reads must be present with its type, and any
     other is ignored; the config sections go through the config's own
     checks. The shapes are arithmetic, and the partition is built last,
-    once the arrays fit, so an outsized order is refused, not built. A
-    model of mesh order d holds more than d values, so given arrays bound
-    the orders before any power of them is taken."""
+    once the arrays fit, so an outsized order is refused, not built."""
     try:
         surf.check_dataset_fields(meta)
         check_fields("", meta, dict.fromkeys(DEFAULTS["psp"], _ANY))
@@ -122,11 +120,6 @@ def _assemble(meta: dict, arrays, provenance, source: str) -> Model:
         for key in DEFAULTS["encoder"]:
             if f"encoder.{key}" not in given:
                 raise InputError(f"missing key 'encoder.{key}'")
-        values = None if callable(arrays) else sum(
-            a.size for a in arrays.values())
-        if values is not None and meta["mesh_order"] > values:
-            raise InputError(f"key 'mesh_order' {meta['mesh_order']} needs "
-                             f"more than the {values} values the arrays hold")
         m = surf.patch_size(meta["mesh_order"], meta["patch_order"])
         n_total = surf.face_count(meta["patch_order"]) * meta["hemispheres"]
         ecfg = enc.EncoderConfig(**{k: given[f"encoder.{k}"]

@@ -553,8 +553,14 @@ class TestRefusalIsAnInputError:
     @pytest.mark.parametrize("text,message", [
         ('{"mesh_orde": 2}', "unknown key 'mesh_orde'"),
         ("[1, 2]", "a spec must be a JSON object"),
-        ('{"channels": 0}', "key 'channels' must be >= 1, got 0")])
-    def test_bad_spec(self, tmp_path, text, message):
+        ('{"channels": 0}', "key 'channels' must be >= 1, got 0"),
+        ('{"patch_order": 1000000000000}', "key 'patch_order' must be an "
+                                           "integer in [0, 29], got "
+                                           "1000000000000"),
+        ('{"mesh_order": 1000000000000}', "key 'mesh_order' must be an "
+                                          "integer in [0, 29], got "
+                                          "1000000000000")])
+    def test_bad_spec(self, tmp_path, unbuilt, text, message):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
         with pytest.raises(InputError) as e:
@@ -911,6 +917,14 @@ class TestMesh:
         assert err == (f"error: [Errno 2] No such file or directory: "
                        f"'{out}'\n")
         assert ".tmp-" not in err
+
+    def test_outsized_order_is_refused_unbuilt(self, tmp_path, capsys,
+                                               unbuilt):
+        out = tmp_path / "ico.ply"
+        assert cli.main(["mesh", "--order", "30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: icosphere order must be an integer in [0, 29], got 30\n")
+        assert not out.exists()
 
     def test_writes_ply(self, tmp_path, capsys):
         out = str(tmp_path / "ico.ply")

@@ -203,6 +203,10 @@ class TestPatchify:
         assert (out[claimed] == 1.0).all()
 
 
+ID_RULE = ("key 'id' must be a nonempty string without '/', ',', line break "
+           "or NUL")
+
+
 class TestDatasetIO:
     def _write_dataset(self, tmp_path, n=4):
         v = surf.vertex_count(1)
@@ -287,24 +291,21 @@ class TestDatasetIO:
         (lambda d: d["subjects"][3].update(id="s0"),
          "subject 3: key 'id' must be unique, got 's0' again"),
         (lambda d: d["subjects"][2].update(id="x/y"),
-         "subject 2: key 'id' must be a string without '/', got 'x/y'"),
+         f"subject 2: {ID_RULE}, got 'x/y'"),
         (lambda d: d["stats"]["curv"].update(std=-1),
          "stats.curv: key 'std' must be a number > 0, got -1"),
+        (lambda d: d.update(patch_order=2),
+         "patch order must not exceed mesh order"),
         (lambda d: d["subjects"][2].update(id="a,b"),
-         "subject 2: key 'id' must be nonempty and hold no ',', line "
-         "break or NUL, got 'a,b'"),
+         f"subject 2: {ID_RULE}, got 'a,b'"),
         (lambda d: d["subjects"][1].update(id=""),
-         "subject 1: key 'id' must be nonempty and hold no ',', line "
-         "break or NUL, got ''"),
+         f"subject 1: {ID_RULE}, got ''"),
         (lambda d: d["subjects"][0].update(id="x\ny"),
-         "subject 0: key 'id' must be nonempty and hold no ',', line "
-         "break or NUL, got 'x\\ny'"),
+         f"subject 0: {ID_RULE}, got 'x\\ny'"),
         (lambda d: d["subjects"][3].update(id="x\r"),
-         "subject 3: key 'id' must be nonempty and hold no ',', line "
-         "break or NUL, got 'x\\r'"),
+         f"subject 3: {ID_RULE}, got 'x\\r'"),
         (lambda d: d["subjects"][2].update(id="a\0b"),
-         "subject 2: key 'id' must be nonempty and hold no ',', line "
-         "break or NUL, got 'a\\x00b'")])
+         f"subject 2: {ID_RULE}, got 'a\\x00b'")])
     def test_malformed_manifest_names_it_and_the_key(self, tmp_path, edit,
                                                       message):
         path, _ = self._write_dataset(tmp_path)
@@ -317,24 +318,30 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("order", [100, 10 ** 12])
     def test_outsized_mesh_order_is_refused_before_any_power(
-            self, tmp_path, monkeypatch, order):
-        """The first subject file's size bounds the order: no vertex count
-        of it is computed, and the refusal names the manifest and the key.
-        Order 100 is below the file's 336 bytes, but its vertices are not."""
+            self, tmp_path, unbuilt, order):
+        """The order rule refuses an order above 29 before any power of it,
+        and the refusal names the manifest and the key."""
         path, _ = self._write_dataset(tmp_path)
         data = json.loads(path.read_text())
         data["mesh_order"] = order
         path.write_text(json.dumps(data))
-        count = surf.vertex_count
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: key 'mesh_order' must be an integer in [0, 29], "
+                f"got {order}")):
+            surf.load_dataset(str(path))
 
-        def bounded(order):
-            assert order <= 64, f"vertex_count({order})"
-            return count(order)
-        monkeypatch.setattr(surf, "vertex_count", bounded)
+    def test_order_29_is_refused_by_the_subject_bytes(self, tmp_path,
+                                                      unbuilt):
+        """The largest order the rule passes is refused by the first
+        subject's byte count, and builds nothing."""
+        path, _ = self._write_dataset(tmp_path)
+        data = json.loads(path.read_text())
+        data["mesh_order"] = 29
+        path.write_text(json.dumps(data))
         first = tmp_path / "s0.f32"
         with pytest.raises(InputError, match=re.escape(
-                f"{path}: key 'mesh_order' {order} needs more than the "
-                f"{first.stat().st_size} bytes of {first}")):
+                f"{first}: {first.stat().st_size} bytes, expected "
+                f"{surf.vertex_count(29) * 2 * 4}")):
             surf.load_dataset(str(path))
 
     def test_manifest_not_json(self, tmp_path):

@@ -432,7 +432,7 @@ class TestCheckpointDefects:
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m.pop("mesh_order"), "missing key 'mesh_order'"),
         (lambda m: m.update(patch_order=1.0),
-         "key 'patch_order' must be an integer >= 0"),
+         "key 'patch_order' must be an integer in [0, 29], got 1.0"),
         (lambda m: m.update(hemispheres=True),
          "key 'hemispheres' must be an integer >= 1"),
         (lambda m: m.update(channels="thickness"),
@@ -467,17 +467,12 @@ class TestCheckpointDefects:
                            match=re.escape(f"m.xck: {message}")):
             train.load_checkpoint(saved)
 
-    def test_outsized_mesh_order_is_refused_unbuilt(self, saved,
-                                                     monkeypatch):
+    def test_outsized_mesh_order_is_refused_unbuilt(self, saved, unbuilt):
         """A meta's orders are checked against the arrays by arithmetic,
-        so an order-30 mesh is refused without being subdivided."""
-        def refuse(*args):
-            raise AssertionError("a checkpoint load built a mesh")
-
-        monkeypatch.setattr(surf, "build_partition", refuse)
-        monkeypatch.setattr(surf, "build_icosphere", refuse)
+        so an order-29 mesh, the largest the order rule passes, is refused
+        without being subdivided."""
         arrays, meta = load_arrays(saved)
-        meta["mesh_order"] = 30
+        meta["mesh_order"] = 29
         save_arrays(saved, arrays, meta)
         with pytest.raises(InputError,
                            match=r"m\.xck: array 'patch_proj\.w': found "
@@ -486,26 +481,14 @@ class TestCheckpointDefects:
             train.load_checkpoint(saved)
 
     @pytest.mark.parametrize("orders, message", [
-        (dict(patch_order=10**12), "patch order must not exceed mesh order"),
-        (dict(mesh_order=10**12), "key 'mesh_order' 1000000000000 needs "
-                                  "more than the ")])
+        (dict(patch_order=10**12), "key 'patch_order' must be an integer "
+                                   "in [0, 29], got 1000000000000"),
+        (dict(mesh_order=10**12), "key 'mesh_order' must be an integer "
+                                  "in [0, 29], got 1000000000000")])
     def test_astronomical_order_is_refused_before_any_power(
-            self, saved, monkeypatch, orders, message):
-        """An order no array set could hold is refused before a face
-        count or patch size of it is computed, or a mesh built."""
-        def refuse(*args):
-            raise AssertionError("a checkpoint load built a mesh")
-
-        def small(f):  # its first argument is the order it raises 2 to
-            def checked(*orders):
-                assert orders[0] <= 64, f"{f.__name__}{orders} computed"
-                return f(*orders)
-            return checked
-
-        monkeypatch.setattr(surf, "build_partition", refuse)
-        monkeypatch.setattr(surf, "build_icosphere", refuse)
-        monkeypatch.setattr(surf, "face_count", small(surf.face_count))
-        monkeypatch.setattr(surf, "patch_size", small(surf.patch_size))
+            self, saved, unbuilt, orders, message):
+        """An order above 29 is refused by the order rule before a count or
+        patch size of it is computed, or a mesh built."""
         arrays, meta = load_arrays(saved)
         meta.update(orders)
         save_arrays(saved, arrays, meta)
