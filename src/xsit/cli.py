@@ -84,8 +84,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, _parse_overrides(args.set))
-    manifest, splits = surf.load_dataset(os.path.join(args.data,
-                                                      "manifest.json"))
+    manifest, splits = surf.load_dataset(
+        os.path.join(args.data, "manifest.json"),
+        lambda entry: entry["split"] in ("train", "val"))
     _, history = tr.train_run(cfg, manifest, splits, out_dir=args.out)
     final = history[-1] if history else None
     if final is not None:
@@ -94,23 +95,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _read(args, stats: bool = False):
-    """The model at --checkpoint and the splits at --data. The data must
-    fit the model: same mesh and patch orders, hemispheres and channels,
-    and with `stats` the same training statistics."""
-    model = tr.load_checkpoint(args.checkpoint)
+def _read(args, model, wanted, stats: bool = False):
+    """The splits at --data, holding the subjects whose manifest entries
+    `wanted` accepts. The data must fit `model`: same mesh and patch
+    orders, hemispheres and channels, and with `stats` the same training
+    statistics."""
     path = os.path.join(args.data, "manifest.json")
-    manifest, splits = surf.load_dataset(path)
+    manifest, splits = surf.load_dataset(path, wanted)
     for key in (k for k in surf.DATASET_KEYS if stats or k != "stats"):
         want, got = getattr(model, key), getattr(manifest, key)
         if got != want:
             raise InputError(f"{path}: key '{key}' must be the model's "
                              f"{want!r}, got {got!r}")
-    return model, splits
+    return splits
 
 
 def _cmd_eval(args) -> int:
-    model, splits = _read(args)
+    model = tr.load_checkpoint(args.checkpoint)
+    splits = _read(args, model, lambda entry: entry["split"] == args.split)
     if not splits[args.split]:
         raise InputError(f"split '{args.split}' is empty")
     report = tr.evaluate(model, splits[args.split])
@@ -124,6 +126,22 @@ _MODE_FLAGS = {"subject": ("individual",), "split": ("individual", "group"),
                "channel": ("prototypes",), "extra_checkpoints": ("overlap",)}
 
 
+def _explained(args, model, split: str):
+    """The test of a manifest entry that picks the subjects `explain
+    --mode` reads: `individual` the split's subjects, or only --subject;
+    `group` the split's positives; `prototypes` the training subjects its
+    active prototypes were projected from."""
+    if args.mode == "individual":
+        return lambda entry: (entry["split"] == split
+                              and args.subject in (None, entry["id"]))
+    if args.mode == "group":
+        return lambda entry: entry["split"] == split and entry["label"] == 1
+    sources = {prov[0] for prov, w in zip(model.bank.provenance,
+                                          tr.weights(model))
+               if w > 0.0 and prov is not None}
+    return lambda entry: entry["split"] == "train" and entry["id"] in sources
+
+
 def _cmd_explain(args) -> int:
     for key, modes in _MODE_FLAGS.items():
         if getattr(args, key) is not None and args.mode not in modes:
@@ -131,24 +149,21 @@ def _cmd_explain(args) -> int:
                              f"{' and '.join(modes)} only, not by --mode "
                              f"{args.mode}")
     split = args.split or "test"
-    if args.mode == "overlap":  # compares checkpoints only
-        model = tr.load_checkpoint(args.checkpoint)
-    elif args.data is None:
+    if args.mode != "overlap" and args.data is None:  # overlap reads no data
         raise InputError(f"--mode {args.mode} needs --data")
-    else:
+    model = tr.load_checkpoint(args.checkpoint)
+    if args.mode != "overlap":
         # `prototypes` reads training subjects by id: the data must be the
         # model's own, whose stats name the training split they came from
-        model, splits = _read(args, stats=args.mode == "prototypes")
+        splits = _read(args, model, _explained(args, model, split),
+                       stats=args.mode == "prototypes")
     maps, scalar = [], "activation"  # (name, per-patch or None, per-vertex)
     if args.mode == "individual":
         samples = splits[split]
-        if args.subject is not None:
-            samples = [s for s in samples if s.subject_id == args.subject]
-            if not samples:
-                raise InputError(f"subject '{args.subject}' is not in split "
-                                 f"'{split}'")
         if not samples:
-            raise InputError(f"split '{split}' is empty")
+            raise InputError(
+                f"split '{split}' is empty" if args.subject is None else
+                f"subject '{args.subject}' is not in split '{split}'")
         for s in samples:
             per_patch, per_vertex, _ = expl.activation_map(s, model)
             maps.append((f"activation_{s.subject_id}", per_patch, per_vertex))

@@ -149,8 +149,9 @@ def build_partition(mesh_order: int, patch_order: int) -> PatchPartition:
     descend from order-p face f, a block of 4^(d-p) consecutive faces.
     Vertices on a block's boundary land in every adjacent patch, so all
     patches share one fixed size M."""
-    if patch_order < 0:
-        raise InputError("patch order must be >= 0")
+    for name, order in (("mesh", mesh_order), ("patch", patch_order)):
+        if not ORDER[1](order):
+            raise InputError(f"{name} order must be {ORDER[2]}, got {order}")
     m = patch_size(mesh_order, patch_order)
     mesh = build_icosphere(mesh_order)
     blocks = np.sort(mesh.faces.reshape(face_count(patch_order), -1), axis=1)
@@ -236,16 +237,17 @@ def save_sample(path: str, features: np.ndarray) -> None:
 
 
 def load_sample(path: str, v_total: int, n_channels: int) -> np.ndarray:
+    """The [v_total, n_channels] float32 features at `path`. A file of
+    another size is refused by its size, unread."""
     expect = v_total * n_channels * 4
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) != expect:
-        raise InputError(
-            f"{path}: {len(raw)} bytes, expected {expect}")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(v_total, n_channels)
+        size = os.fstat(f.fileno()).st_size
+        if size != expect:
+            raise InputError(f"{path}: {size} bytes, expected {expect}")
+        feats = np.fromfile(f, dtype="<f4").reshape(v_total, n_channels)
     if not np.all(np.isfinite(feats)):
         raise InputError(f"{path}: non-finite feature values")
-    return feats.astype(np.float32)
+    return feats.astype(np.float32, copy=False)
 
 
 # -- the dataset -------------------------------------------------------------
@@ -296,9 +298,11 @@ def check_dataset_fields(d, where: str = "") -> None:
         check_fields(f"{where}stats.{name}: ", s, _STATS)
 
 
-def load_dataset(manifest_path: str):
+def load_dataset(manifest_path: str, wanted=None):
     """Manifest + raw samples, by split. They are normalised with a model's
-    statistics (`train.normalized`), not the manifest's, where used."""
+    statistics (`train.normalized`), not the manifest's, where used. Every
+    entry of the manifest is checked; only the subjects whose checked entry
+    `wanted(entry)` accepts (all, without `wanted`) are read."""
     try:
         with open(manifest_path) as f:
             d = json.load(f)
@@ -318,7 +322,8 @@ def load_dataset(manifest_path: str):
                                   for f in fields(DatasetManifest)})
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits = {s: [] for s in SPLITS}
-    for entry in manifest.subjects:
+    # filter(None, ...) keeps every entry, each a nonempty object
+    for entry in filter(wanted, manifest.subjects):
         feats = load_sample(os.path.join(base, entry["path"]),
                             manifest.vertices_total, len(manifest.channels))
         splits[entry["split"]].append(SurfaceSample(

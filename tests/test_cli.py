@@ -48,6 +48,16 @@ def workspace(tmp_path_factory):
     return ws, str(data), str(run)
 
 
+def nan_copy(data, dest, subject):
+    """A copy of the dataset `data` at `dest`, with one NaN in `subject`'s
+    feature file."""
+    shutil.copytree(data, dest)
+    feats = np.fromfile(dest / f"{subject}.f32", dtype="<f4")
+    feats[5] = np.nan
+    feats.tofile(dest / f"{subject}.f32")
+    return dest
+
+
 def gen_tiny(ws, name, **changes):
     """The data of TINY_SPEC with `changes`, in `ws/name`."""
     spec = ws / f"{name}.json"
@@ -342,17 +352,38 @@ class TestDatasetDefects:
         assert not out.exists()
 
     def test_subject_holding_nan(self, workspace, tmp_path, capsys):
+        """A NaN stops each command that reads its subject's file, with one
+        error line naming the file; `train` stops before it writes."""
         _, data, run = workspace
-        bad = tmp_path / "data"
-        shutil.copytree(data, bad)
-        feats = np.fromfile(bad / "s0003.f32", dtype="<f4")
-        feats[5] = np.nan
-        feats.tofile(bad / "s0003.f32")
-        rc = cli.main(["eval", "--checkpoint", os.path.join(run, "model.xck"),
-                       "--data", str(bad), "--split", "test"])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: {bad / 's0003.f32'}: non-finite feature values\n")
+        ckpt = os.path.join(run, "model.xck")
+        out = tmp_path / "run"
+        train_args = ["train", "--out", str(out)] + [
+            a for s in TRAIN_SETS for a in ("--set", s)]
+        for i, (subject, argv) in enumerate([  # s0024 test, s0003 train
+                ("s0024", ["eval", "--checkpoint", ckpt, "--split", "test"]),
+                ("s0003", ["eval", "--checkpoint", ckpt, "--split", "train"]),
+                ("s0003", train_args)]):
+            bad = nan_copy(data, tmp_path / f"data{i}", subject)
+            rc = cli.main(argv + ["--data", str(bad)])
+            assert rc == 1, argv
+            assert capsys.readouterr().err == (
+                f"error: {bad / f'{subject}.f32'}: non-finite feature "
+                f"values\n")
+        assert not out.exists()
+
+    def test_subject_holding_nan_that_is_not_read(self, workspace, tmp_path,
+                                                  capsys):
+        """`eval --split test` reads no training subject, so a NaN in one
+        does not stop it, as none stops `explain --mode overlap`."""
+        _, data, run = workspace
+        bad = nan_copy(data, tmp_path / "data", "s0003")
+        reports = []
+        for d in (data, bad):
+            assert cli.main(["eval", "--checkpoint",
+                             os.path.join(run, "model.xck"), "--data",
+                             str(d), "--split", "test"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_manifest_without_stats(self, workspace, tmp_path, capsys):
         _, data, run = workspace
@@ -368,6 +399,50 @@ class TestDatasetDefects:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{manifest}: missing key 'stats'" in err
+
+
+class TestEachCommandReadsItsSubjects:
+    """Each command reads the feature files of the subjects it uses, each
+    once, and no other subject's file."""
+
+    @pytest.mark.parametrize("command", [
+        "train", "eval", "individual", "subject", "group", "prototypes"])
+    def test_files_read(self, workspace, tmp_path, monkeypatch, command):
+        _, data, run = workspace
+        ckpt = os.path.join(run, "model.xck")
+        model = train.load_checkpoint(ckpt)
+        sources = {prov[0] for prov, w in zip(model.bank.provenance,
+                                              train.weights(model))
+                   if w > 0.0}
+        # command -> (its arguments, the manifest entries it uses)
+        read = ["--checkpoint", ckpt, "--data", data]
+        explain = ["explain", *read, "--out", str(tmp_path / "out"),
+                   "--mode"]
+        argv, uses = {
+            "train": (["train", "--data", data, "--out", str(tmp_path / "run")]
+                      + [a for s in TRAIN_SETS for a in ("--set", s)],
+                      lambda e: e["split"] in ("train", "val")),
+            "eval": (["eval", *read, "--split", "test"],
+                     lambda e: e["split"] == "test"),
+            "individual": (explain + ["individual", "--split", "val"],
+                           lambda e: e["split"] == "val"),
+            "subject": (explain + ["individual", "--subject", "s0027"],
+                        lambda e: e["id"] == "s0027"),
+            "group": (explain + ["group"],
+                      lambda e: e["split"] == "test" and e["label"] == 1),
+            "prototypes": (explain + ["prototypes"],
+                           lambda e: e["id"] in sources)}[command]
+        with open(os.path.join(data, "manifest.json")) as f:
+            subjects = json.load(f)["subjects"]
+        expected = sorted(os.path.join(data, e["path"]) for e in subjects
+                          if uses(e))
+        assert 0 < len(expected) < len(subjects)
+        paths, load = [], surf.load_sample
+        monkeypatch.setattr(surf, "load_sample",
+                            lambda path, *a: paths.append(path)
+                            or load(path, *a))
+        assert cli.main(argv) == 0
+        assert sorted(paths) == expected
 
 
 def edit_json(path, edit):
@@ -710,12 +785,8 @@ class TestExplain:
         args = ["explain", "--checkpoint", ckpt, "--mode", "overlap",
                 "--extra-checkpoints", ckpt, "--out", str(tmp_path / "ox")]
         if data == "nan-subject":
-            bad = tmp_path / "data"
-            shutil.copytree(good, bad)
-            feats = np.fromfile(bad / "s0003.f32", dtype="<f4")
-            feats[5] = np.nan
-            feats.tofile(bad / "s0003.f32")
-            args += ["--data", str(bad)]
+            args += ["--data", str(nan_copy(good, tmp_path / "data",
+                                            "s0003"))]
         assert cli.main(args) == 0
         with open(tmp_path / "ox" / "overlap.json") as f:
             assert json.load(f)["overlap_percent"] == 100.0

@@ -137,6 +137,21 @@ class TestPartition:
         with pytest.raises(InputError):
             surf.build_partition(1, 2)
 
+    @pytest.mark.parametrize("mesh_order,patch_order,message", [
+        (10 ** 12, 1, "mesh order must be an integer in [0, 29], got "
+                      "1000000000000"),
+        (30, 1, "mesh order must be an integer in [0, 29], got 30"),
+        (3, 10 ** 12, "patch order must be an integer in [0, 29], got "
+                      "1000000000000"),
+        (3, -1, "patch order must be an integer in [0, 29], got -1")],
+        ids=["mesh-10**12", "mesh-30", "patch-10**12", "patch-negative"])
+    def test_outsized_order_is_refused_before_any_power(
+            self, unbuilt, mesh_order, patch_order, message):
+        """A direct call checks both orders by the order rule before
+        `patch_size` takes a power of either."""
+        with pytest.raises(InputError, match=re.escape(message)):
+            surf.build_partition(mesh_order, patch_order)
+
 
 class TestPatchify:
     def test_gather_identity(self):
@@ -262,6 +277,46 @@ class TestDatasetIO:
         (tmp_path / "s0.f32").write_bytes(b"\x00" * 8)
         with pytest.raises(InputError, match="bytes"):
             surf.load_dataset(str(path))
+
+    def test_one_float_too_many(self, tmp_path):
+        """A file longer than the manifest's shape is refused by its size,
+        with the message of a short one."""
+        path, _ = self._write_dataset(tmp_path)
+        sample = tmp_path / "s0.f32"
+        expect = sample.stat().st_size
+        with open(sample, "ab") as f:
+            f.write(np.float32(1.0).tobytes())
+        with pytest.raises(InputError, match=re.escape(
+                f"{sample}: {expect + 4} bytes, expected {expect}")):
+            surf.load_dataset(str(path))
+
+    @pytest.mark.parametrize("split", surf.SPLITS)
+    def test_wanted_subjects_only_are_read(self, tmp_path, split):
+        """Every entry is checked, and only the wanted subjects' files are
+        read: a missing file of another subject stops nothing."""
+        path, feats_all = self._write_dataset(tmp_path)
+        every = json.loads(path.read_text())["subjects"]
+        for entry in every:
+            if entry["split"] != split:
+                (tmp_path / entry["path"]).unlink()
+        manifest, splits = surf.load_dataset(
+            str(path), lambda entry: entry["split"] == split)
+        assert manifest.subjects == every
+        assert {s: [x.subject_id for x in splits[s]] for s in surf.SPLITS} \
+            == {s: [e["id"] for e in every if e["split"] == split == s]
+                for s in surf.SPLITS}
+        for x in splits[split]:
+            assert x.features.tobytes() == feats_all[x.subject_id].tobytes()
+
+    def test_unwanted_entries_are_still_checked(self, tmp_path):
+        path, _ = self._write_dataset(tmp_path)
+        data = json.loads(path.read_text())
+        data["subjects"][3].update(id="s0")
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: subject 3: key 'id' must be unique, got 's0' "
+                "again")):
+            surf.load_dataset(str(path), lambda entry: False)
 
     def test_missing_file(self, tmp_path):
         path, _ = self._write_dataset(tmp_path)
