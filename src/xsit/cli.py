@@ -99,15 +99,17 @@ def _read(args, model, wanted, stats: bool = False):
     """The splits at --data, holding the subjects whose manifest entries
     `wanted` accepts. The data must fit `model`: same mesh and patch
     orders, hemispheres and channels, and with `stats` the same training
-    statistics."""
+    statistics; data that does not is refused before any subject file is
+    read."""
     path = os.path.join(args.data, "manifest.json")
-    manifest, splits = surf.load_dataset(path, wanted)
-    for key in (k for k in surf.DATASET_KEYS if stats or k != "stats"):
-        want, got = getattr(model, key), getattr(manifest, key)
-        if got != want:
-            raise InputError(f"{path}: key '{key}' must be the model's "
-                             f"{want!r}, got {got!r}")
-    return splits
+
+    def fits(manifest):
+        for key in (k for k in surf.DATASET_KEYS if stats or k != "stats"):
+            want, got = getattr(model, key), getattr(manifest, key)
+            if got != want:
+                raise InputError(f"{path}: key '{key}' must be the model's "
+                                 f"{want!r}, got {got!r}")
+    return surf.load_dataset(path, wanted, fits)[1]
 
 
 def _cmd_eval(args) -> int:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -54,19 +54,28 @@ class IcosphereMesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    # The PLY text of the geometry, formatted on first use and kept for the
-    # mesh's lifetime, so each map written on it formats only its scalar:
-    # the vertex rows, x y z as `%.8f` and a `%.8f` hole for the scalar,
-    # and the face block.
+    # What a mesh keeps of its PLY text, made on first use, so that each map
+    # written on it formats only its scalar column: the words of its vertex
+    # rows ("\nx y z", see `_fixed_words`) with the mask of the rows that go
+    # through `%`, and the bytes of its face block. A row goes through `%`
+    # where its words might not be `%`'s text: a value within 2^-50 of a
+    # decimal tie at 8 places (float arithmetic could round it the other
+    # way), a value that rounds to 1e5 or more (its digits do not fit the
+    # words), or a face index outside [0, 10^7).
     @cached_property
-    def _ply_rows(self) -> str:
-        return ("%.8f %.8f %.8f %%.8f\n" * self.n_vertices) % tuple(
-            self.vertices.ravel().tolist())
+    def _ply_rows(self) -> tuple:
+        words, slow = _fixed_words(self.vertices, np.array([10, 32, 32]))
+        return words.reshape(self.n_vertices, 6), slow.any(axis=1)
 
     @cached_property
-    def _ply_faces(self) -> str:
-        return ("3 %d %d %d\n" * self.n_faces) % tuple(
-            self.faces.ravel().tolist())
+    def _ply_faces(self) -> bytes:
+        f = self.faces
+        slow = ~((f >= 0) & (f < 10 ** 7)).all(axis=1)
+        words = np.hstack([
+            np.full((self.n_faces, 1), int.from_bytes(b"\n3", "little"),
+                    np.uint64),
+            _int_words(np.where(slow[:, None], 0, f)) | np.uint64(ord(" "))])
+        return _spliced(words, slow, "\n3 %d %d %d", f)
 
 
 # The one rule for a mesh or patch order, wherever one is read. An order-30
@@ -298,11 +307,13 @@ def check_dataset_fields(d, where: str = "") -> None:
         check_fields(f"{where}stats.{name}: ", s, _STATS)
 
 
-def load_dataset(manifest_path: str, wanted=None):
+def load_dataset(manifest_path: str, wanted=None, fits=None):
     """Manifest + raw samples, by split. They are normalised with a model's
     statistics (`train.normalized`), not the manifest's, where used. Every
-    entry of the manifest is checked; only the subjects whose checked entry
-    `wanted(entry)` accepts (all, without `wanted`) are read."""
+    entry of the manifest is checked, and `fits(manifest)`, if given, may
+    refuse the checked manifest by raising, before any subject file is
+    read; then only the subjects whose checked entry `wanted(entry)`
+    accepts (all, without `wanted`) are read."""
     try:
         with open(manifest_path) as f:
             d = json.load(f)
@@ -320,6 +331,8 @@ def load_dataset(manifest_path: str, wanted=None):
         ids.add(sid)
     manifest = DatasetManifest(**{f.name: d[f.name]
                                   for f in fields(DatasetManifest)})
+    if fits is not None:
+        fits(manifest)
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits = {s: [] for s in SPLITS}
     # filter(None, ...) keeps every entry, each a nonempty object
@@ -352,30 +365,113 @@ def compute_stats(samples, channels: list) -> dict:
 
 
 # -- PLY export --------------------------------------------------------------
+# The PLY text is built as uint64 words of 8 ASCII bytes each, first byte
+# lowest, and written as the words' bytes with every NUL removed, so a
+# word may hold NULs between its bytes of text. Each row's words start
+# with the line break before it, and each value's with the separator
+# before it. The text is what `"%.8f" %` and `"%d" %` give, byte for byte:
+# `%` itself formats every row whose words could differ from it.
+
+@cache
+def _digit_tables() -> tuple:
+    """For each k < 10^4, the word of `"%04d" % k` in its 4 low bytes, and
+    the word of k's digits right-aligned, NUL before them. Made by the
+    first PLY a process writes, not at import; read-only."""
+    tables = (np.array([int.from_bytes(b"%04d" % k, "little")
+                        for k in range(10000)], dtype=np.uint64),
+              np.array([int.from_bytes((b"%d" % k).rjust(8, b"\0"), "little")
+                        for k in range(10000)], dtype=np.uint64))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+_NAN = int.from_bytes(b"\0nan", "little")
+
+
+def _int_words(n: np.ndarray) -> np.ndarray:
+    """One word per integer 0 <= n < 10^7: n's digits right-aligned, NUL
+    before them (so the first byte is NUL)."""
+    groups, right = _digit_tables()
+    hi = n // 10000
+    lo = n - hi * 10000
+    return np.where(hi > 0, right[hi] >> 32 | groups[lo] << 32, right[lo])
+
+
+def _fixed_words(x: np.ndarray, sep):
+    """The two words of the byte `sep` then `"%.8f" % v` for each v of
+    float64 `x` (`[*x.shape, 2]`), and a mask of `x`'s shape of the values
+    whose words may differ from `%`.
+
+    The digits are those of n = rint(|v|·1e8), the words hold n < 10^13:
+    `sep`, the sign, five integer digits and the point, then eight
+    fraction digits. The product is off the exact one by at most 2^-53 of
+    itself, so rint rounds as `%` does unless the product's fraction lies
+    within 2^-50 of it from ½: exact decimal ties such as 1/512 (`%`
+    rounds to even) and their neighbours. Those, |v| beyond the words and
+    ±inf are marked; NaN is `nan`, and the sign is `-` wherever
+    signbit(v) is set, as with `%`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(x) * 1e8
+        n = np.rint(p)
+        slow = ~(n < 1e13) | (np.abs(p - np.floor(p) - 0.5) <= 2.0 ** -50 * p)
+    nan = np.isnan(x)
+    slow &= ~nan
+    n = np.where(slow | nan, 0.0, n).astype(np.int64)
+    whole = n // 10 ** 8
+    frac = n - whole * 10 ** 8
+    hi = frac // 10000
+    sign = np.where(np.signbit(x), np.uint64(ord("-") << 8), np.uint64(0))
+    head = _int_words(whole) >> 8 | sign | np.uint64(ord(".") << 56)
+    groups = _digit_tables()[0]
+    words = np.stack([np.where(nan, np.uint64(_NAN), head),
+                      np.where(nan, np.uint64(0), groups[hi]
+                               | groups[frac - hi * 10000] << 32)], axis=-1)
+    words[..., 0] |= np.asarray(sep, dtype=np.uint64)
+    return words, slow
+
+
+def _spliced(words: np.ndarray, slow: np.ndarray, fmt: str, *columns):
+    """The bytes of the rows of `words`, NULs removed, except that each run
+    of rows `slow` marks is `fmt % row` of `columns` side by side."""
+    cuts = (np.flatnonzero(slow[1:] != slow[:-1]) + 1).tolist()
+    parts = []
+    for a, b in zip([0, *cuts], [*cuts, len(slow)]):
+        if slow[a:b].any():
+            rows = np.hstack([c[a:b].reshape(b - a, -1) for c in columns])
+            parts.append((fmt * (b - a) % tuple(rows.ravel().tolist()))
+                         .encode())
+        else:
+            parts.append(words[a:b].tobytes().translate(None, b"\0"))
+    return b"".join(parts)
+
 
 def write_ply(path: str, mesh: IcosphereMesh,
               scalar: np.ndarray | None = None,
               scalar_name: str = "value") -> None:
     """ASCII PLY with optional per-vertex scalar; NaN marks masked vertices.
-    The vertex rows and faces are the mesh's own text, formatted once; a
-    scalar fills the rows' holes by one `%`, and without one the holes are
-    cut out. A non-finite scalar is written as NaN, which `%.8f` prints as
-    `nan`."""
+    The geometry's words and the face bytes are the mesh's own, made once;
+    only the scalar column is formatted here. A non-finite scalar is
+    written as NaN, which `%.8f` prints as `nan`."""
     lines = ["ply", "format ascii 1.0",
              f"element vertex {mesh.n_vertices}",
              "property float x", "property float y", "property float z"]
+    words, slow = mesh._ply_rows
     if scalar is None:
-        vertex_block = mesh._ply_rows.replace(" %.8f\n", "\n")
+        vertex_block = _spliced(words, slow, "\n%.8f %.8f %.8f",
+                                mesh.vertices)
     else:
         column = np.asarray(scalar, dtype=np.float64)
         if column.shape != (mesh.n_vertices,):
             raise InputError(f"scalar must have shape ({mesh.n_vertices},)"
                              f", one value per vertex, got {column.shape}")
         lines.append(f"property float {scalar_name}")
-        vertex_block = mesh._ply_rows % tuple(
-            np.where(np.isfinite(column), column, np.nan).tolist())
+        column = np.where(np.isfinite(column), column, np.nan)
+        scalar_words, scalar_slow = _fixed_words(column, ord(" "))
+        vertex_block = _spliced(np.hstack([words, scalar_words]),
+                                slow | scalar_slow, "\n%.8f %.8f %.8f %.8f",
+                                mesh.vertices, column)
     lines += [f"element face {mesh.n_faces}",
               "property list uchar int vertex_indices", "end_header"]
-    text = "\n".join(lines) + "\n" + vertex_block + mesh._ply_faces
-    atomic_write(path, text.encode())
-
+    atomic_write(path, b"".join([
+        "\n".join(lines).encode(), vertex_block, mesh._ply_faces, b"\n"]))

@@ -605,6 +605,29 @@ class TestDataMustFitTheModel:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "individual"])
+    def test_refused_before_any_subject_file_is_read(
+            self, workspace, misfit_data, tmp_path, capsys, monkeypatch,
+            command):
+        """3-channel data for the 2-channel model: the manifest alone
+        refuses it, with the same line as when it was read first."""
+        _, _, run = workspace
+        data = misfit_data["channels"]
+        manifest = os.path.join(data, "manifest.json")
+        with open(manifest) as f:
+            got = json.load(f)["channels"]
+        want = train.load_checkpoint(os.path.join(run, "model.xck")).channels
+        assert len(want) == 2 and len(got) == 3
+        paths, load = [], surf.load_sample
+        monkeypatch.setattr(surf, "load_sample",
+                            lambda path, *a: paths.append(path)
+                            or load(path, *a))
+        assert cli.main(read_args(run, data, command, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: key 'channels' must be the model's "
+            f"{want!r}, got {got!r}\n")
+        assert paths == []
+
     @pytest.mark.parametrize("command", ["eval", "individual", "group"])
     def test_other_stats_are_read_with_the_models(self, workspace,
                                                  misfit_data, tmp_path,

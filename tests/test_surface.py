@@ -465,6 +465,72 @@ class TestPly:
         assert not p.exists()
 
 
+def percent_ply(mesh, scalar=None, name="value"):
+    """The PLY text of `write_ply`, every number formatted by `"%.8f" %`
+    and `"%d" %` one at a time."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+             "property float x", "property float y", "property float z"]
+    rows = mesh.vertices.tolist()
+    if scalar is not None:
+        lines.append(f"property float {name}")
+        column = np.asarray(scalar, dtype=np.float64)
+        rows = [r + [s if np.isfinite(s) else np.nan]
+                for r, s in zip(rows, column.tolist())]
+    lines += [f"element face {mesh.n_faces}",
+              "property list uchar int vertex_indices", "end_header"]
+    lines += [" ".join("%.8f" % v for v in r) for r in rows]
+    lines += ["3 " + " ".join("%d" % i for i in f)
+              for f in mesh.faces.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_TIES = np.arange(-1280, 1281) / 512  # exact decimal ties at 8 places
+# scalar case -> values, repeated to fill the order-4 mesh's 2562 vertices
+SCALARS = {
+    "ties": _TIES,
+    "above_ties": np.nextafter(_TIES, np.inf),
+    "below_ties": np.nextafter(_TIES, -np.inf),
+    # the doubles nearest (2i + 1)·5e-9, just off a tie at 8 places
+    "decimal_halves": np.array([float(f"{2 * i + 1}e-9")
+                                for i in range(-1280, 1281)]),
+    "specials": np.array([
+        0.0, -0.0, -1e-12, 1e-12, 0.999999995, -0.999999995, 5e-9, -5e-9,
+        99999.99999999, 99999.999999996, -99999.999999996, 1e5, -123456.5,
+        1234567.891, 9999999.999999999, 1e7, -1e7, 12345678.9, 1e300,
+        -1e300, float(np.finfo(np.float32).max), np.nan, np.inf, -np.inf]),
+    "float32": np.random.default_rng(3).normal(size=2562).astype(np.float32),
+}
+
+
+class TestPlyFormatsAsPercent:
+    """`write_ply` writes the text of `%` formatting, byte for byte."""
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_bare_geometry(self, tmp_path, order):
+        mesh = surf.build_icosphere(order)
+        p = tmp_path / "m.ply"
+        surf.write_ply(str(p), mesh)
+        assert p.read_bytes() == percent_ply(mesh)
+
+    @pytest.mark.parametrize("case", SCALARS)
+    def test_scalar(self, tmp_path, case):
+        mesh = surf.build_icosphere(4)
+        scalar = np.resize(SCALARS[case], mesh.n_vertices)
+        p = tmp_path / "m.ply"
+        surf.write_ply(str(p), mesh, scalar=scalar, scalar_name="feature")
+        assert p.read_bytes() == percent_ply(mesh, scalar, "feature")
+
+    def test_face_indices_of_eight_digits(self, tmp_path):
+        vertices = surf.build_icosphere(0).vertices
+        faces = np.array([[0, 1, 2], [9999999, 10000000, 3],
+                          [123456789, 0, 11], [4, 5, 6], [10**7, 10**8, 7],
+                          [8, 9, 10]])
+        mesh = surf.IcosphereMesh(vertices=vertices, faces=faces)
+        p = tmp_path / "m.ply"
+        surf.write_ply(str(p), mesh, scalar=np.linspace(-1.0, 1.0, 12))
+        assert p.read_bytes() == percent_ply(mesh, np.linspace(-1.0, 1.0, 12))
+
+
 def pinned_scalar(mesh):
     """The scalar of PLY_SHA256["scalar"]: float32, with NaN, +inf, -inf
     and -0.0."""

@@ -13,13 +13,13 @@ shape (seed 11, `train.seed=11`, `train.epochs=5`) and the paper's shape
 `train`, `eval` of every split, `explain` of every mode (`individual` over
 the test split and for one subject, `group`, `prototypes` at channels 0
 and 2, `overlap` of the checkpoint with itself), and both share one
-`mesh --order 3`. It prints
-one sorted line per output file (sha256, path) and per command (exit
-code, sha256 of stdout and of stderr), each led by its thread count
-(`threads=1`, `threads=2`). Two checkouts keep the bytes when their runs
-print the same lines. Lines of one thread count need not equal the other
-count's: the paper shape's patch projection, of inner dimension 459,
-rounds differently at 1 and 2 OpenBLAS threads.
+`mesh --order 3` and one `mesh --order 6`, the bare geometry at the
+paper's order. It prints one sorted line per output file (sha256, path)
+and per command (exit code, sha256 of stdout and of stderr), each led by
+its thread count (`threads=1`, `threads=2`). Two checkouts keep the
+bytes when their runs print the same lines. Lines of one thread count
+need not equal the other count's: the paper shape's patch projection, of
+inner dimension 459, rounds differently at 1 and 2 OpenBLAS threads.
 
     python3 tools/bytecheck.py ../parent /tmp/bc > a.txt; rm -r /tmp/bc
     python3 tools/bytecheck.py . /tmp/bc > b.txt; rm -r /tmp/bc
@@ -98,6 +98,7 @@ def _digests(checkout: str, work: str, threads: str) -> list:
                      f"stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}")
 
     run("mesh", ["mesh", "--order", "3", "--out", "mesh.ply"])
+    run("mesh6", ["mesh", "--order", "6", "--out", "mesh6.ply"])
     for shape, (spec, sets) in SHAPES.items():
         os.makedirs(os.path.join(work, shape))
         with open(os.path.join(work, shape, "spec.json"), "w") as f:
